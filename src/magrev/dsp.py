@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import correlate, resample_poly
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import SensorTrace
 
@@ -161,6 +161,19 @@ class PowerSpectrum:
 # ---------------------------------------------------------------------------
 
 
+def _denoised_spectra(channels: np.ndarray, reference: NoiseReference) -> np.ndarray:
+    """rfft of each channel (the last axis) divided by the floored background
+    magnitudes."""
+    if channels.shape[-1] < 2:
+        raise ValueError("channel must be a 1-D signal")
+    expected = channels.shape[-1] // 2 + 1
+    if reference.n_bins != expected:
+        raise ValueError(
+            f"noise reference has {reference.n_bins} bins, signal needs {expected}"
+        )
+    return np.fft.rfft(channels, axis=-1) / np.maximum(reference.magnitudes, SPECTRAL_FLOOR)
+
+
 def spectral_denoise(channel: np.ndarray, reference: NoiseReference) -> np.ndarray:
     """Divide a channel's spectrum by the floored background magnitudes.
 
@@ -170,16 +183,45 @@ def spectral_denoise(channel: np.ndarray, reference: NoiseReference) -> np.ndarr
     round-off.
     """
     x = np.asarray(channel, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
+    if x.ndim != 1:
         raise ValueError("channel must be a 1-D signal")
-    expected = x.size // 2 + 1
-    if reference.n_bins != expected:
-        raise ValueError(
-            f"noise reference has {reference.n_bins} bins, signal needs {expected}"
+    return np.fft.irfft(_denoised_spectra(x, reference), n=x.size)
+
+
+def _best_lag(
+    a: np.ndarray, b: np.ndarray, spec_a: np.ndarray, spec_b: np.ndarray, max_lag: int
+) -> int:
+    """Lag in [-max_lag, max_lag] maximizing sum_t a[t + L] * b[t], given the
+    rfft spectra of ``a`` and ``b``.
+
+    One inverse transform gives the circular correlation; lag L of it also
+    sums the |L| products that wrap around the ends, which are subtracted to
+    leave the linear correlation.  Values within round-off of the peak tie,
+    and ties resolve to the smallest |L| (then the smaller L).
+    """
+    n = a.size
+    if not 0 <= max_lag < n // 2:
+        raise ValueError("max_lag must satisfy 0 <= max_lag < len/2")
+    if not (np.any(a) and np.any(b)):
+        raise ValueError("cannot estimate a delay from zero-energy input")
+    if max_lag == 0:
+        return 0
+    k = max_lag
+    circular = np.fft.irfft(spec_a * np.conj(spec_b), n=n)
+    # wrapped products at lag L > 0: a[u] * b[n - L + u] for u < L, and the
+    # mirror image b[t] * a[n - L + t] at lag -L
+    wrap_pos = np.convolve(a[:k], b[n - k :][::-1])[:k]
+    wrap_neg = np.convolve(b[:k], a[n - k :][::-1])[:k]
+    window = np.concatenate(
+        (
+            circular[n - k :] - wrap_neg[::-1],
+            circular[:1],
+            circular[1 : k + 1] - wrap_pos,
         )
-    spectrum = np.fft.rfft(x)
-    floored = np.maximum(reference.magnitudes, SPECTRAL_FLOOR)
-    return np.fft.irfft(spectrum / floored, n=x.size)
+    )
+    tolerance = 1e-12 * math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+    hits = np.flatnonzero(window >= window.max() - tolerance) - k
+    return int(min(hits, key=lambda lag: (abs(int(lag)), int(lag))))
 
 
 def estimate_delay(s_i: np.ndarray, s_ref: np.ndarray, max_lag: int) -> int:
@@ -187,25 +229,14 @@ def estimate_delay(s_i: np.ndarray, s_ref: np.ndarray, max_lag: int) -> int:
 
     Returns the integer lag L in [-max_lag, max_lag] maximizing
     sum_t s_i[t + L] * s_ref[t]; shifting s_i by the result lines it up with
-    the reference.  Ties resolve to the smallest |L| (then the smaller L).
+    the reference.  Ties (values within FFT round-off of the peak) resolve to
+    the smallest |L| (then the smaller L).
     """
     a = np.asarray(s_i, dtype=np.float64)
     b = np.asarray(s_ref, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
         raise ValueError("sequences must be 1-D and of equal length")
-    n = a.size
-    if not 0 <= max_lag < n // 2:
-        raise ValueError("max_lag must satisfy 0 <= max_lag < len/2")
-    if not (np.any(a) and np.any(b)):
-        raise ValueError("cannot estimate a delay from zero-energy input")
-    # full correlation index k corresponds to lag k - (n - 1)
-    c = correlate(a, b, mode="full", method="fft")
-    lags = np.arange(-max_lag, max_lag + 1)
-    window = c[(n - 1) - max_lag : (n - 1) + max_lag + 1]
-    peak = window.max()
-    hits = np.flatnonzero(window == peak)
-    best = min(hits, key=lambda idx: (abs(int(lags[idx])), int(lags[idx])))
-    return int(lags[best])
+    return _best_lag(a, b, np.fft.rfft(a), np.fft.rfft(b), max_lag)
 
 
 def shift_signal(x: np.ndarray, lag: int) -> np.ndarray:
@@ -230,13 +261,15 @@ def delay_and_sum(
 
     A single-channel trace returns its denoised channel.  Coherent content
     gains a factor of n_channels in amplitude while independent noise gains
-    only sqrt(n_channels).
+    only sqrt(n_channels).  Each channel is transformed once; the same
+    spectra serve the denoising and the alignment.
     """
-    denoised = [spectral_denoise(trace.channels[i], reference) for i in range(trace.n_channels)]
+    spectra = _denoised_spectra(trace.channels, reference)
+    denoised = np.fft.irfft(spectra, n=trace.n_samples, axis=-1)
     out = denoised[0].copy()
-    for ch in denoised[1:]:
-        lag = estimate_delay(ch, denoised[0], max_lag)
-        out += shift_signal(ch, lag)
+    for i in range(1, trace.n_channels):
+        lag = _best_lag(denoised[i], denoised[0], spectra[i], spectra[0], max_lag)
+        out += shift_signal(denoised[i], lag)
     return out
 
 
@@ -277,6 +310,42 @@ def default_segment_len(fs: float, n_samples: int) -> int:
     return target
 
 
+def _welch_frames(
+    signal: np.ndarray,
+    fs: float,
+    segment_len: int,
+    overlap_fraction: float,
+    window: str,
+) -> tuple[np.ndarray, float]:
+    """Tapered Welch segments, one per row, and the density scale
+    1/(fs * sum(w^2)) of one segment's squared transform."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("signal must be 1-D")
+    if fs <= 0:
+        raise ValueError("fs must be positive")
+    if not _is_pow2(segment_len):
+        raise ValueError("segment_len must be a power of two")
+    if segment_len > x.size:
+        raise ValueError(
+            f"signal of {x.size} samples is shorter than one segment ({segment_len})"
+        )
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ValueError("overlap_fraction must be in [0, 1)")
+    w = _window(window, segment_len)
+    hop = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
+    frames = sliding_window_view(x, segment_len)[::hop] * w
+    return frames, 1.0 / (fs * float(np.sum(w * w)))
+
+
+def _one_sided_mean(power: np.ndarray, bins: np.ndarray, nfft: int) -> np.ndarray:
+    """Average per-segment scaled powers (rows) and double every bin except
+    DC and, for even nfft, Nyquist."""
+    psd = power.sum(axis=0) / power.shape[0]
+    psd[(bins > 0) & ((bins < nfft // 2) | (nfft % 2 == 1))] *= 2.0
+    return psd
+
+
 def welch_psd(
     signal: np.ndarray,
     fs: float,
@@ -293,43 +362,76 @@ def welch_psd(
     ``nfft`` >= segment_len zero-pads each segment, which refines the bin
     grid without changing the underlying spectral window.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    if fs <= 0:
-        raise ValueError("fs must be positive")
-    if not _is_pow2(segment_len):
-        raise ValueError("segment_len must be a power of two")
-    if segment_len > x.size:
-        raise ValueError(
-            f"signal of {x.size} samples is shorter than one segment ({segment_len})"
-        )
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
+    frames, scale = _welch_frames(signal, fs, segment_len, overlap_fraction, window)
     if nfft is None:
         nfft = segment_len
     if nfft < segment_len:
         raise ValueError("nfft must be >= segment_len")
-
-    w = _window(window, segment_len)
-    hop = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
-    starts = range(0, x.size - segment_len + 1, hop)
-    scale = 1.0 / (fs * float(np.sum(w * w)))
-
-    acc = np.zeros(nfft // 2 + 1, dtype=np.float64)
-    count = 0
-    for s0 in starts:
-        seg = x[s0 : s0 + segment_len] * w
-        spec = np.fft.rfft(seg, n=nfft)
-        acc += (spec.real**2 + spec.imag**2) * scale
-        count += 1
-    psd = acc / count
-    # one-sided: double everything except DC and (for even nfft) Nyquist
-    last = psd.size - 1 if nfft % 2 == 0 else psd.size
-    psd[1:last] *= 2.0
+    spec = np.fft.rfft(frames, n=nfft, axis=-1)
+    bins = np.arange(nfft // 2 + 1)
+    psd = _one_sided_mean((spec.real**2 + spec.imag**2) * scale, bins, nfft)
     df = fs / nfft
-    freqs = np.arange(psd.size) * df
-    return PowerSpectrum(frequencies=freqs, densities=psd, resolution_df=df)
+    return PowerSpectrum(frequencies=bins * df, densities=psd, resolution_df=df)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a transform size FFTs handle quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(q: np.ndarray, nfft: int) -> np.ndarray:
+    """exp(-i * pi * q / nfft), with q reduced modulo 2 * nfft in integers so
+    the phase stays exact however large q grows."""
+    return np.exp(-1j * np.pi * (q % (2 * nfft)) / nfft)
+
+
+def welch_zoom(
+    signal: np.ndarray,
+    fs: float,
+    segment_len: int,
+    nfft: int,
+    bins: np.ndarray,
+    overlap_fraction: float = 0.5,
+    window: str = "hann",
+) -> np.ndarray:
+    """Densities of ``welch_psd(..., nfft=nfft)`` at the consecutive grid
+    indices ``bins`` only (equal to within FFT round-off).
+
+    Each segment's zero-padded transform is evaluated on just those bins
+    with Bluestein's chirp-z algorithm, one convolution of the
+    segment length plus the bin count, instead of an ``nfft``-point FFT.
+    """
+    frames, scale = _welch_frames(signal, fs, segment_len, overlap_fraction, window)
+    if nfft < segment_len:
+        raise ValueError("nfft must be >= segment_len")
+    bins = np.asarray(bins, dtype=np.int64)
+    m = bins.size
+    if m == 0:
+        return np.zeros(0)
+    if bins[0] < 0 or bins[-1] > nfft // 2 or np.any(np.diff(bins) != 1):
+        raise ValueError("bins must be consecutive indices of the one-sided grid")
+    # X[k0 + j] = chirp(j^2) * sum_t frame[t] chirp(2 k0 t + t^2) conj(chirp((j - t)^2))
+    t = np.arange(segment_len, dtype=np.int64)
+    j = np.arange(m, dtype=np.int64)
+    size = _fast_len(segment_len + m - 1)
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:m] = np.conj(_chirp(j * j, nfft))
+    kernel[size - segment_len + 1 :] = np.conj(_chirp(t[:0:-1] ** 2, nfft))
+    chirped = frames * _chirp(2 * bins[0] * t + t * t, nfft)
+    conv = np.fft.ifft(np.fft.fft(chirped, n=size, axis=-1) * np.fft.fft(kernel), axis=-1)
+    spec = conv[:, :m] * _chirp(j * j, nfft)
+    return _one_sided_mean((spec.real**2 + spec.imag**2) * scale, bins, nfft)
 
 
 def log_normalize(spectrum: PowerSpectrum) -> PowerSpectrum:
@@ -373,6 +475,8 @@ def resample(signal: np.ndarray, factor: float) -> np.ndarray:
         raise ValueError("factor is too small for this signal length")
     if factor == 1.0:
         return x.copy()
+    from scipy.signal import resample_poly  # heavy import, needed only here
+
     frac = Fraction(factor).limit_denominator(1000)
     y = resample_poly(x, frac.numerator, frac.denominator)
     if y.size >= target:

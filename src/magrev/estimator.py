@@ -9,20 +9,20 @@ entirely absent from the binarized detection map are removed before the
 argmax; that one rule is what keeps half- and double-speed impostors from
 winning on partial evidence.
 
-The fine stage re-reads the enhanced time signal with a zero-padded Welch
-transform (``gamma`` times denser frequency grid) and takes the density peak
-inside ``+/- delta_f`` of the coarse pick.  RPM is exactly ``60 * fine``.
+The fine stage re-reads the enhanced time signal on the grid of a Welch
+transform zero-padded to ``gamma`` times the segment length, evaluated only
+at the grid points inside ``+/- delta_f`` of the coarse pick, and takes the
+density peak among them.  RPM is exactly ``60 * fine``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import DetectionMap, detect_with_network, threshold_detector
 from .dsp import (
@@ -32,6 +32,7 @@ from .dsp import (
     delay_and_sum,
     log_normalize,
     welch_psd,
+    welch_zoom,
 )
 from .ppsp import PpspWeights
 from .signals import SensorTrace
@@ -243,11 +244,13 @@ def _window_radius_bins(delta_f: float, spacing: float) -> int:
 
 
 def _soft_probabilities(dmap: DetectionMap, delta_f: float) -> np.ndarray:
-    """Per-bin probability softened by a +/- delta_f neighborhood max."""
+    """Per-bin probability softened by a +/- delta_f neighborhood max (bins
+    past either end count as 0)."""
     r = _window_radius_bins(delta_f, _grid_spacing(dmap.bin_frequencies))
     if r == 0:
         return dmap.probabilities
-    return maximum_filter1d(dmap.probabilities, size=2 * r + 1, mode="constant", cval=0.0)
+    padded = np.pad(dmap.probabilities, r)
+    return sliding_window_view(padded, 2 * r + 1).max(axis=1)
 
 
 def _candidate_indices(freqs: np.ndarray, f_min: float) -> np.ndarray:
@@ -274,6 +277,25 @@ def _multiple_index(freqs: np.ndarray, spacing: float, target_hz: float) -> int 
     return i
 
 
+def _ladder(freqs: np.ndarray, candidate_hz: np.ndarray, m: int) -> np.ndarray:
+    """Grid index of multiples 1..m (columns) of each candidate (rows), as
+    :func:`_multiple_index` rounds them; ``freqs.size`` marks out of band."""
+    orders = np.arange(1, m + 1)
+    idx = np.rint((candidate_hz[:, None] * orders - freqs[0]) / _grid_spacing(freqs))
+    return np.where((idx >= 0) & (idx < freqs.size), idx, freqs.size).astype(np.intp)
+
+
+def _ladder_features(
+    dmap: DetectionMap, f_min_hz: float, delta_f: float, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate fundamentals and the softened probability at each one's
+    first m multiples (0 beyond the band), one row per candidate."""
+    freqs = dmap.bin_frequencies
+    candidate_hz = freqs[_candidate_indices(freqs, f_min_hz)]
+    soft = np.append(_soft_probabilities(dmap, delta_f), 0.0)
+    return candidate_hz, soft[_ladder(freqs, candidate_hz, m)]
+
+
 def compute_likelihood(
     dmap: DetectionMap,
     beta: HarmonicWeights | None = None,
@@ -288,48 +310,38 @@ def compute_likelihood(
     """
     if beta is None:
         beta = default_harmonic_weights()
-    freqs = dmap.bin_frequencies
-    spacing = _grid_spacing(freqs)
+    spacing = _grid_spacing(dmap.bin_frequencies)
     delta_f = spacing if delta_f_hz is None else delta_f_hz
-    soft = _soft_probabilities(dmap, delta_f)
-    idx = _candidate_indices(freqs, f_min_hz)
-    scores = np.zeros(idx.size)
-    for k in range(1, beta.m + 1):
-        for j, i in enumerate(idx):
-            mi = _multiple_index(freqs, spacing, k * freqs[i])
-            if mi is not None:
-                scores[j] += beta.values[k - 1] * soft[mi]
-    return FuzzyLikelihood(
-        candidate_hz=freqs[idx].copy(), scores=scores, delta_f_hz=delta_f
-    )
+    candidate_hz, features = _ladder_features(dmap, f_min_hz, delta_f, beta.m)
+    # one harmonic at a time, k = 1..M, so every score sums in a fixed order
+    scores = np.zeros(candidate_hz.size)
+    for k in range(beta.m):
+        scores += beta.values[k] * features[:, k]
+    return FuzzyLikelihood(candidate_hz=candidate_hz, scores=scores, delta_f_hz=delta_f)
 
 
-def _supported(
+def _support_mask(
     dmap: DetectionMap,
-    candidate_hz: float,
+    candidate_hz: np.ndarray,
     delta_f: float,
     n_support: int,
     detection_threshold: float,
-) -> bool:
-    """A candidate keeps its place when at least one of its low multiples
-    (2nd up to the n_support-th, clipped to the band) has a binarized
-    detection within +/- delta_f.  No detected multiple at all means the
-    candidate is an artifact of a single strong bin and is removed."""
+) -> np.ndarray:
+    """Which candidates keep their place: those with a binarized detection
+    within +/- delta_f of at least one low multiple (2nd up to the
+    n_support-th, clipped to the band).  No detected multiple at all means
+    the candidate is an artifact of a single strong bin and is removed."""
     freqs = dmap.bin_frequencies
-    spacing = _grid_spacing(freqs)
-    band_max = float(freqs[-1])
-    r = _window_radius_bins(delta_f, spacing)
-    binary = dmap.binarize(detection_threshold)
-    top = min(n_support, int(math.floor(band_max / candidate_hz)))
-    for m in range(2, top + 1):
-        mi = _multiple_index(freqs, spacing, m * candidate_hz)
-        if mi is None:
-            continue
-        lo = max(0, mi - r)
-        hi = min(freqs.size, mi + r + 1)
-        if binary[lo:hi].any():
-            return True
-    return False
+    r = _window_radius_bins(delta_f, _grid_spacing(freqs))
+    ladder = _ladder(freqs, candidate_hz, n_support)
+    orders = np.arange(1, n_support + 1)
+    top = np.floor(float(freqs[-1]) / candidate_hz)
+    tested = (ladder < freqs.size) & (orders >= 2) & (orders <= top[:, None])
+    # detections in [lo, hi) from a prefix sum over the binarized map
+    hits = np.concatenate(([0], np.cumsum(dmap.binarize(detection_threshold))))
+    lo = np.maximum(ladder - r, 0)
+    hi = np.minimum(ladder + r + 1, freqs.size)
+    return np.any(tested & (hits[hi] > hits[lo]), axis=1)
 
 
 def coarse_estimate(
@@ -351,11 +363,8 @@ def coarse_estimate(
     like = compute_likelihood(
         dmap, beta, f_min_hz=f_min_hz, delta_f_hz=delta_f_hz
     )
-    keep = np.array(
-        [
-            _supported(dmap, float(g), like.delta_f_hz, n_support, detection_threshold)
-            for g in like.candidate_hz
-        ]
+    keep = _support_mask(
+        dmap, like.candidate_hz, like.delta_f_hz, n_support, detection_threshold
     )
     flags: tuple[str, ...] = ()
     if keep.any():
@@ -389,10 +398,11 @@ def fine_estimate(
 ) -> float:
     """Refine a coarse frequency on a gamma-times denser spectral grid.
 
-    The Welch transform is re-run with the FFT zero-padded to
-    ``gamma * segment_len`` points, and the density peak within
-    ``+/- delta_f`` of the coarse pick is returned.  ``gamma=1`` reproduces
-    the coarse grid.
+    The grid is that of the Welch transform zero-padded to
+    ``gamma * segment_len`` points; its densities are evaluated only at the
+    grid points within ``+/- delta_f`` of the coarse pick (see
+    :func:`magrev.dsp.welch_zoom`), and the peak among them is returned.
+    ``gamma=1`` reproduces the coarse grid.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if gamma < 1:
@@ -401,22 +411,25 @@ def fine_estimate(
         segment_len = default_segment_len(sample_rate_hz, signal.size)
     if delta_f_hz is None:
         delta_f_hz = sample_rate_hz / segment_len
-    spec = welch_psd(
-        signal,
-        sample_rate_hz,
-        segment_len=segment_len,
-        nfft=segment_len * gamma,
-        window=window,
-    )
+    nfft = segment_len * gamma
+    df = sample_rate_hz / nfft
     lo = coarse_hz - delta_f_hz
     hi = coarse_hz + delta_f_hz
-    sel = np.flatnonzero((spec.frequencies >= lo) & (spec.frequencies <= hi))
+    # a bin of margin on each side; the exact comparison below decides
+    first = int(max(np.floor(lo / df) - 1, 0))
+    last = int(min(np.ceil(hi / df) + 1, nfft // 2))
+    bins = np.arange(first, last + 1)
+    freqs = bins * df
+    sel = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+    densities = welch_zoom(
+        signal, sample_rate_hz, segment_len=segment_len, nfft=nfft, bins=bins[sel],
+        window=window,
+    )
     if sel.size == 0:
         raise PipelineError(
             "fine", f"no spectral bins within {delta_f_hz} Hz of {coarse_hz} Hz"
         )
-    best = sel[int(np.argmax(spec.densities[sel]))]
-    return float(spec.frequencies[best])
+    return float(freqs[sel[int(np.argmax(densities))]])
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +582,9 @@ def estimate_rpm_multi(
             current, beta, f_min_hz=config.f_min_hz, delta_f_hz=config.delta_f_hz
         )
         delta_f = like.delta_f_hz
-        supported = np.array(
-            [
-                _supported(
-                    current, float(g), delta_f, config.n_support,
-                    config.detection_threshold,
-                )
-                for g in like.candidate_hz
-            ]
+        supported = _support_mask(
+            current, like.candidate_hz, delta_f, config.n_support,
+            config.detection_threshold,
         )
         pool = supported & (like.scores > 0.0)
         flags: tuple[str, ...] = ()
@@ -681,25 +689,16 @@ def fit_beta(
     if not detection_maps:
         raise ValueError("need at least one detection map")
     rows: list[np.ndarray] = []
-    targets: list[float] = []
+    targets: list[np.ndarray] = []
     for dmap, f_true in zip(detection_maps, true_fundamentals_hz):
-        freqs = dmap.bin_frequencies
-        spacing = _grid_spacing(freqs)
-        delta_f = spacing if delta_f_hz is None else delta_f_hz
-        soft = _soft_probabilities(dmap, delta_f)
-        idx = _candidate_indices(freqs, f_min_hz)
-        features = np.zeros((idx.size, m_harmonics))
-        for k in range(1, m_harmonics + 1):
-            for j, i in enumerate(idx):
-                mi = _multiple_index(freqs, spacing, k * freqs[i])
-                if mi is not None:
-                    features[j, k - 1] = soft[mi]
-        pos = int(np.argmin(np.abs(freqs[idx] - f_true)))
-        for j in range(idx.size):
-            rows.append(features[j])
-            targets.append(1.0 if j == pos else 0.0)
-    design = np.array(rows)
-    target = np.array(targets)
+        delta_f = _grid_spacing(dmap.bin_frequencies) if delta_f_hz is None else delta_f_hz
+        candidate_hz, features = _ladder_features(dmap, f_min_hz, delta_f, m_harmonics)
+        target = np.zeros(candidate_hz.size)
+        target[int(np.argmin(np.abs(candidate_hz - f_true)))] = 1.0
+        rows.append(features)
+        targets.append(target)
+    design = np.concatenate(rows)
+    target = np.concatenate(targets)
     if not design.any():
         raise ValueError("detection maps carry no evidence to fit weights from")
     return HarmonicWeights(values=_ridge_solve(design, target, ridge_lambda))

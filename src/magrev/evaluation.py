@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dsp import NoiseReference, default_segment_len, welch_psd
 from .estimator import PipelineConfig, PipelineError, estimate_rpm
@@ -63,6 +62,8 @@ def rmae(estimates, truths) -> float:
 
 def spearman_rank_correlation(x, y) -> float:
     """Spearman rho (Pearson correlation of average ranks)."""
+    from scipy.stats import rankdata  # heavy import, needed only here
+
     xr = rankdata(np.asarray(x, dtype=np.float64))
     yr = rankdata(np.asarray(y, dtype=np.float64))
     xr -= xr.mean()
@@ -76,6 +77,14 @@ def spearman_rank_correlation(x, y) -> float:
 # ---------------------------------------------------------------------------
 # Baselines (single raw channel)
 # ---------------------------------------------------------------------------
+
+
+def _biased_autocorrelation(x: np.ndarray) -> np.ndarray:
+    """sum_t x[t] * x[t + lag] / n for lags 0..n-1: |X|^2 of a transform
+    padded to 2n points has no circular wrap-around."""
+    n = x.size
+    spec = np.fft.rfft(x, 2 * n)
+    return np.fft.irfft(spec.real**2 + spec.imag**2, 2 * n)[:n] / n
 
 
 def autocorrelation_baseline(
@@ -99,8 +108,7 @@ def autocorrelation_baseline(
     lag_max = int(round(sample_rate_hz / f_min_hz))
     if lag_min < 1 or lag_max >= n:
         raise ValueError("frequency band maps to lags outside the signal")
-    ac = np.correlate(x, x, mode="full")[n - 1 :] / n
-    window = ac[lag_min : lag_max + 1]
+    window = _biased_autocorrelation(x)[lag_min : lag_max + 1]
     lag = lag_min + int(np.argmax(window))
     return 60.0 * sample_rate_hz / lag
 

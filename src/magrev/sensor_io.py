@@ -35,8 +35,13 @@ def save_trace_wav(
     trace: SensorTrace, path: str | Path, volts_per_count: float | None = None
 ) -> float:
     """Write a trace as interleaved 16-bit PCM.  Returns the volts-per-count
-    actually used (auto-scaled to the trace peak when not given)."""
+    actually used (auto-scaled to the trace peak when not given).  The WAV
+    header holds an integer rate, so a fractional rate is rejected."""
     path = Path(path)
+    if not trace.sample_rate_hz.is_integer():
+        raise ValueError(
+            f"WAV stores an integer sample rate; {trace.sample_rate_hz!r} Hz would be rounded"
+        )
     peak = float(np.max(np.abs(trace.channels))) if trace.channels.size else 0.0
     if volts_per_count is None:
         volts_per_count = (peak / PCM_FULL_SCALE) if peak > 0 else 1.0 / PCM_FULL_SCALE
@@ -48,7 +53,7 @@ def save_trace_wav(
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(trace.n_channels)
         handle.setsampwidth(2)
-        handle.setframerate(int(round(trace.sample_rate_hz)))
+        handle.setframerate(int(trace.sample_rate_hz))
         handle.writeframes(interleaved.tobytes())
     return volts_per_count
 

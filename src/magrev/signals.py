@@ -281,6 +281,8 @@ class SensorTrace:
             raise ValueError("channels must be a 2-D array")
         if self.channels.shape[1] < 1:
             raise ValueError("channels must contain samples")
+        if not np.all(np.isfinite(self.channels)):
+            raise ValueError("channels must be finite (no NaN or inf samples)")
         if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
             raise ValueError("sample_rate_hz must be positive and finite")
         self.sample_rate_hz = float(self.sample_rate_hz)

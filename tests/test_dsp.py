@@ -13,6 +13,7 @@ from magrev.dsp import (
     shift_signal,
     spectral_denoise,
     welch_psd,
+    welch_zoom,
 )
 from magrev.signals import SensorTrace
 
@@ -82,6 +83,26 @@ class TestWelch:
         assert spec.resolution_df == pytest.approx(fs / (1024 * 16))
         peak = spec.frequencies[int(np.argmax(spec.densities))]
         assert abs(peak - 100.25) <= spec.resolution_df
+
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    def test_zoom_matches_padded_transform(self, window):
+        rng = np.random.default_rng(3)
+        fs = 1024.0
+        x = tone(100.25, fs, 4096) + 0.1 * rng.normal(size=4096)
+        for segment, gamma in ((1024, 1), (1024, 16), (256, 7)):
+            nfft = segment * gamma
+            full = welch_psd(x, fs, segment, window=window, nfft=nfft).densities
+            for first, count in ((0, 40), (nfft // 2 - 30, 31), (nfft // 5, 1)):
+                bins = np.arange(first, first + count)
+                zoom = welch_zoom(x, fs, segment, nfft, bins, window=window)
+                np.testing.assert_allclose(zoom, full[bins], rtol=0, atol=1e-12 * full.max())
+        assert welch_zoom(x, fs, 1024, 2048, np.arange(0)).size == 0
+        with pytest.raises(ValueError):
+            welch_zoom(x, fs, 1024, 2048, np.array([3, 5]))
+        with pytest.raises(ValueError):
+            welch_zoom(x, fs, 1024, 2048, np.arange(1020, 1030))
+        with pytest.raises(ValueError):
+            welch_zoom(x, fs, 1024, 512, np.arange(3))
 
     def test_frequency_axis(self):
         spec = welch_psd(np.ones(256), 512.0, segment_len=128)
@@ -235,6 +256,39 @@ class TestDelayEstimation:
             assert estimate_delay(a, b, max_lag) == self.exhaustive_best_lag(
                 a, b, max_lag
             )
+        # small-integer signals: the exact dot products tie often, and the
+        # peak regularly sits at +/-max_lag itself
+        ties = edges = 0
+        for _ in range(300):
+            n = int(rng.integers(4, 80))
+            max_lag = int(rng.integers(0, n // 2))
+            a = rng.integers(-1, 2, size=n).astype(float)
+            b = rng.integers(-1, 2, size=n).astype(float)
+            if not (a.any() and b.any()):
+                continue
+            expected = self.exhaustive_best_lag(a, b, max_lag)
+            assert estimate_delay(a, b, max_lag) == expected
+            scores = [
+                float(np.dot(a[max(lag, 0) : n + min(lag, 0)], b[max(-lag, 0) : n - max(lag, 0)]))
+                for lag in range(-max_lag, max_lag + 1)
+            ]
+            ties += scores.count(max(scores)) > 1
+            edges += max_lag > 0 and abs(expected) == max_lag
+        assert ties > 30 and edges > 10
+        # exact ties at +/-3 resolve to -3; a peak at the window edge is found
+        a = np.zeros(64)
+        a[[17, 23]] = 1.0
+        b = np.zeros(64)
+        b[20] = 1.0
+        assert estimate_delay(a, b, 5) == -3
+        for lag in (-9, 9):
+            a = np.zeros(64)
+            a[30 + lag] = 1.0
+            b = np.zeros(64)
+            b[30] = 1.0
+            assert estimate_delay(a, b, 9) == lag
+            assert estimate_delay(a, b, 8) == 0  # out of reach: every lag scores 0
+            assert estimate_delay(a, b, 0) == 0
 
     def test_recovers_known_shift(self):
         rng = np.random.default_rng(8)

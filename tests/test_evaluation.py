@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magrev.evaluation import (
+    _biased_autocorrelation,
     ERROR_CAP_PCT,
     BenchResult,
     SerMap,
@@ -85,6 +86,23 @@ class TestBaselines:
         sig = tone(100.0, fs, 44100)
         est = autocorrelation_baseline(sig, fs, 20.0, 400.0)
         assert est == pytest.approx(60.0 * fs / 441.0)
+
+    def test_autocorrelation_matches_direct_sum(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 7, 256, 1001, 8192):
+            x = rng.normal(size=n) + np.sin(np.arange(n) * rng.uniform(0.01, 1.0))
+            direct = np.correlate(x, x, mode="full")[n - 1 :] / n
+            ac = _biased_autocorrelation(x)
+            assert np.max(np.abs(ac - direct)) <= 1e-9 * direct[0]
+        fs = 8192.0
+        for _ in range(10):
+            f0 = rng.uniform(20.0, 140.0)
+            t = np.arange(8192) / fs
+            x = np.sin(2 * np.pi * f0 * t) + 0.5 * np.sin(4 * np.pi * f0 * t + 1.0)
+            x += 0.3 * rng.normal(size=t.size)
+            direct = np.correlate(x, x, mode="full")[t.size - 1 :]
+            lag = 41 + int(np.argmax(direct[41 : 410 + 1]))
+            assert autocorrelation_baseline(x, fs, 20.0, 200.0) == 60.0 * fs / lag
 
     def test_autocorrelation_band_validation(self):
         sig = tone(100.0, 1024.0, 2048)

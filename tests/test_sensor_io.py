@@ -64,6 +64,12 @@ class TestWav:
         with pytest.raises(ValueError):
             save_trace_wav(small_trace(), tmp_path / "t.wav", volts_per_count=0.0)
 
+    def test_fractional_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "t.wav"
+        with pytest.raises(ValueError, match="integer sample rate"):
+            save_trace_wav(small_trace(fs=8192.5), path)
+        assert not path.exists()
+
     def test_channel_interleaving_order(self, tmp_path):
         # distinct constant channels must come back in the same slots
         trace = SensorTrace(

@@ -11,6 +11,7 @@ from magrev.signals import (
     CoilParams,
     MotorProfile,
     NoiseProfile,
+    SensorTrace,
     apply_path_loss,
     compute_ser,
     induce_voltage,
@@ -25,6 +26,15 @@ def make_profile(rpm=6000.0, harmonics=None, **kwargs):
     if harmonics is None:
         harmonics = [(1, 1.0, 0.0), (2, 0.5, 0.7), (3, 0.25, 2.1)]
     return MotorProfile.from_rpm(rpm, harmonics=harmonics, **kwargs)
+
+
+class TestSensorTrace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        channels = np.ones((2, 64))
+        channels[1, 10] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SensorTrace(channels=channels, sample_rate_hz=8192.0)
 
 
 class TestMotorProfile:
