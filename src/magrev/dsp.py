@@ -402,17 +402,17 @@ def welch_zoom(
     segment_len: int,
     nfft: int,
     bins: np.ndarray,
-    overlap_fraction: float = 0.5,
     window: str = "hann",
 ) -> np.ndarray:
-    """Densities of ``welch_psd(..., nfft=nfft)`` at the consecutive grid
-    indices ``bins`` only (equal to within FFT round-off).
+    """Densities of ``welch_psd(..., nfft=nfft)`` (half-overlapping
+    segments) at the consecutive grid indices ``bins`` only (equal to within
+    FFT round-off).
 
     Each segment's zero-padded transform is evaluated on just those bins
     with Bluestein's chirp-z algorithm, one convolution of the
     segment length plus the bin count, instead of an ``nfft``-point FFT.
     """
-    frames, scale = _welch_frames(signal, fs, segment_len, overlap_fraction, window)
+    frames, scale = _welch_frames(signal, fs, segment_len, 0.5, window)
     if nfft < segment_len:
         raise ValueError("nfft must be >= segment_len")
     bins = np.asarray(bins, dtype=np.int64)

@@ -269,17 +269,9 @@ def _candidate_indices(freqs: np.ndarray, f_min: float) -> np.ndarray:
     return idx
 
 
-def _multiple_index(freqs: np.ndarray, spacing: float, target_hz: float) -> int | None:
-    """Nearest grid index for a harmonic frequency, None when out of band."""
-    i = int(round((target_hz - float(freqs[0])) / spacing))
-    if i < 0 or i >= freqs.size:
-        return None
-    return i
-
-
 def _ladder(freqs: np.ndarray, candidate_hz: np.ndarray, m: int) -> np.ndarray:
-    """Grid index of multiples 1..m (columns) of each candidate (rows), as
-    :func:`_multiple_index` rounds them; ``freqs.size`` marks out of band."""
+    """Nearest grid index of multiples 1..m (columns) of each candidate
+    (rows), rounding half to even; ``freqs.size`` marks out of band."""
     orders = np.arange(1, m + 1)
     idx = np.rint((candidate_hz[:, None] * orders - freqs[0]) / _grid_spacing(freqs))
     return np.where((idx >= 0) & (idx < freqs.size), idx, freqs.size).astype(np.intp)
@@ -624,10 +616,11 @@ def estimate_rpm_multi(
         r = _window_radius_bins(delta_f, spacing)
         binary = probs >= config.detection_threshold
         band_max = float(freqs[-1])
-        k = 1
-        while k * fine <= band_max + delta_f:
-            mi = _multiple_index(freqs, spacing, k * fine)
-            if mi is not None:
+        orders = 0
+        while (orders + 1) * fine <= band_max + delta_f:
+            orders += 1
+        for mi in _ladder(freqs, np.array([fine]), orders)[0]:
+            if mi < freqs.size:
                 lo = max(0, mi - r)
                 hi = min(freqs.size, mi + r + 1)
                 while lo > 0 and binary[lo - 1]:
@@ -635,7 +628,6 @@ def estimate_rpm_multi(
                 while hi < freqs.size and binary[hi]:
                     hi += 1
                 probs[lo:hi] = 0.0
-            k += 1
     if len(estimates) < count:
         estimates = [
             SpeedEstimate(

@@ -194,13 +194,16 @@ def random_map(rng):
     return probs, freqs, spacing
 
 
-def mixture(rng, fundamentals_hz, duration_s):
+def mixture(rng, fundamentals_hz, duration_s, top_hz=None):
+    """Two motors with 2-4 harmonics each, or every harmonic up to top_hz."""
     motors = [
         MotorProfile(
             period_s=1.0 / f0,
             harmonics=[
                 (k, float(rng.uniform(0.3, 1.0)), float(rng.uniform(0, 2 * np.pi)))
-                for k in range(1, int(rng.integers(2, 5)) + 1)
+                for k in range(
+                    1, (int(top_hz // f0) if top_hz else int(rng.integers(2, 5))) + 1
+                )
             ],
             position_cm=(x, 0.0),
         )
@@ -317,3 +320,16 @@ class TestPipelineAgainstLoops:
             single = estimate_rpm(trace, config)
             rpm, coarse, flags = loop_multi(trace, 1, config)[0]
             assert (single.rpm, single.coarse_hz) == (rpm, coarse)
+
+    def test_multi_motor_with_harmonics_up_to_the_band_edge(self):
+        # every multiple up to the band edge carries evidence, so clearing
+        # the winner's top multiples changes what the next pick sees
+        rng = np.random.default_rng(43)
+        config = PipelineConfig()
+        for _ in range(3):
+            f1, f2 = (float(f) for f in rng.uniform(60.0, 140.0, size=2))
+            trace = mixture(rng, (f1, f2), 1.0, top_hz=config.input_bins - 1.0)
+            got = [
+                (e.rpm, e.coarse_hz, e.flags) for e in estimate_rpm_multi(trace, 3, config)
+            ]
+            assert got == loop_multi(trace, 3, config)
