@@ -35,6 +35,7 @@ from .estimator import (
     PipelineConfig,
     PipelineError,
     SpeedEstimate,
+    detect_harmonics,
     estimate_rpm,
     estimate_rpm_multi,
 )
@@ -255,10 +256,13 @@ def _cmd_denoise(args) -> int:
     max_lag = int(round(args.max_lag_s * trace.sample_rate_hz))
     try:
         enhanced = delay_and_sum(trace, reference, max_lag=max_lag)
+    except ValueError as exc:
+        raise PipelineError("enhance", str(exc)) from exc
+    try:
         segment = default_segment_len(trace.sample_rate_hz, enhanced.size)
         spectrum = welch_psd(enhanced, trace.sample_rate_hz, segment_len=segment)
     except ValueError as exc:
-        raise PipelineError("enhance", str(exc)) from exc
+        raise PipelineError("spectrum", str(exc)) from exc
     out = _out_dir(args)
     save_trace_csv(
         SensorTrace(channels=enhanced[None, :], sample_rate_hz=trace.sample_rate_hz),
@@ -279,29 +283,11 @@ def _cmd_denoise(args) -> int:
     return EXIT_OK
 
 
-def _run_front_end(trace: SensorTrace, config: PipelineConfig, reference: NoiseReference):
-    from .dsp import log_normalize
-    from .estimator import _detect, _prepare_band  # shared staging
-
-    max_lag = int(round(config.max_lag_s * trace.sample_rate_hz))
-    try:
-        enhanced = delay_and_sum(trace, reference, max_lag=max_lag)
-        segment = config.welch_segment or default_segment_len(
-            trace.sample_rate_hz, enhanced.size
-        )
-        spec = welch_psd(enhanced, trace.sample_rate_hz, segment_len=segment)
-    except ValueError as exc:
-        raise PipelineError("enhance", str(exc)) from exc
-    band = _prepare_band(spec, config.input_bins, config.detector == "network")
-    dmap = _detect(band, config, None)
-    return enhanced, segment, dmap
-
-
 def _cmd_detect(args) -> int:
     config, config_doc = _pipeline_config(args)
     trace = _load_trace(args.trace)
     reference = _load_reference(args.reference, trace.n_samples)
-    _, _, dmap = _run_front_end(trace, config, reference)
+    _, _, dmap = detect_harmonics(trace, config, noise_reference=reference)
     out = _out_dir(args)
     dmap.save_csv(out / "detection.csv")
     _write_meta(out, "detect", {"trace": str(args.trace), "pipeline": config_doc})

@@ -118,17 +118,6 @@ class PowerSpectrum:
     def n_bins(self) -> int:
         return self.frequencies.size
 
-    def band(self, lo_hz: float, hi_hz: float) -> "PowerSpectrum":
-        sel = (self.frequencies >= lo_hz) & (self.frequencies <= hi_hz)
-        if sel.sum() < 2:
-            raise ValueError("band selects fewer than two bins")
-        return PowerSpectrum(
-            frequencies=self.frequencies[sel],
-            densities=self.densities[sel],
-            resolution_df=self.resolution_df,
-            normalized=self.normalized,
-        )
-
     def save_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)

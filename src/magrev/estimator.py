@@ -1,5 +1,15 @@
 """Rotation-speed estimation from harmonic detection maps.
 
+Every estimate runs one staged path.  :func:`detect_harmonics` is the front
+end: delay-and-sum enhancement, Welch spectrum, the analysis band, and the
+threshold or network detector.  :func:`estimate_rpm_multi` then repeats the
+coarse pick (:func:`coarse_estimate`) and the fine refinement
+(:func:`fine_estimate`), clearing each winner's harmonic evidence before the
+next pick; :func:`estimate_rpm` is its first pick.  Failures raise
+:class:`PipelineError` tagged with the stage: ``enhance`` (delay-and-sum),
+``spectrum`` (Welch, or too few bins for the network), ``detect``, ``coarse``
+(no candidate bins) and ``fine`` (no bins in the refinement window).
+
 The coarse stage treats every spectral bin between ``f_min`` and half the
 analysis band as a candidate fundamental and scores it by a weighted sum of
 detection evidence at its integer multiples: ``score(g) = sum_k beta_k *
@@ -18,7 +28,7 @@ density peak among them.  RPM is exactly ``60 * fine``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +57,7 @@ __all__ = [
     "coarse_estimate",
     "compute_likelihood",
     "default_harmonic_weights",
+    "detect_harmonics",
     "estimate_rpm",
     "estimate_rpm_multi",
     "fine_estimate",
@@ -102,20 +113,7 @@ class PipelineConfig:
             raise ValueError("input_bins must be >= 2")
 
     def to_dict(self) -> dict:
-        return {
-            "welch_segment": self.welch_segment,
-            "input_bins": self.input_bins,
-            "f_min_hz": self.f_min_hz,
-            "delta_f_hz": self.delta_f_hz,
-            "n_support": self.n_support,
-            "gamma": self.gamma,
-            "detector": self.detector,
-            "threshold_quantile": self.threshold_quantile,
-            "detection_threshold": self.detection_threshold,
-            "max_lag_s": self.max_lag_s,
-            "m_harmonics": self.m_harmonics,
-            "weights_path": self.weights_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -201,23 +199,11 @@ class SpeedEstimate:
         self.flags = tuple(self.flags)
 
     def to_dict(self) -> dict:
-        return {
-            "fine_hz": self.fine_hz,
-            "coarse_hz": self.coarse_hz,
-            "rpm": self.rpm,
-            "confidence": self.confidence,
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpeedEstimate":
-        return cls(
-            fine_hz=float(data["fine_hz"]),
-            coarse_hz=float(data["coarse_hz"]),
-            rpm=float(data["rpm"]),
-            confidence=float(data["confidence"]),
-            flags=tuple(data.get("flags", ())),
-        )
+        return cls(**data)
 
     CSV_HEADER = "rpm,fine_hz,coarse_hz,confidence,flags"
 
@@ -429,59 +415,22 @@ def fine_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _prepare_band(
-    spec: PowerSpectrum, input_bins: int, need_exact: bool
-) -> PowerSpectrum:
-    if spec.n_bins < input_bins:
-        if need_exact:
-            raise PipelineError(
-                "spectrum",
-                f"need {input_bins} bins for the network, got {spec.n_bins}",
-            )
-        return spec
-    return PowerSpectrum(
-        frequencies=spec.frequencies[:input_bins],
-        densities=spec.densities[:input_bins],
-        resolution_df=spec.resolution_df,
-    )
-
-
-def _detect(
-    band: PowerSpectrum,
-    config: PipelineConfig,
-    weights: PpspWeights | None,
-) -> DetectionMap:
-    normalized = log_normalize(band)
-    if config.detector == "threshold":
-        return threshold_detector(normalized, quantile=config.threshold_quantile)
-    if weights is None:
-        if config.weights_path is None:
-            raise PipelineError(
-                "detect", "network detector needs weights or weights_path"
-            )
-        weights = PpspWeights.load(config.weights_path)
-    return detect_with_network(normalized, weights)
-
-
-def estimate_rpm(
+def detect_harmonics(
     trace: SensorTrace,
     config: PipelineConfig | None = None,
     *,
     noise_reference: NoiseReference | None = None,
-    beta: HarmonicWeights | None = None,
     weights: PpspWeights | None = None,
-) -> SpeedEstimate:
-    """Full pipeline: denoise + align + sum, spectrum, detect, coarse pick,
-    fine refinement.
+) -> tuple[np.ndarray, int, DetectionMap]:
+    """The front end: denoise + align + sum, Welch spectrum, the first
+    ``input_bins`` bins log-normalized, harmonic detection.
 
-    Failures raise :class:`PipelineError` tagged with the stage.  The
-    confidence is the winning score normalized by the best achievable score
-    (all harmonics fully detected).
+    Returns the enhanced signal, the Welch segment length and the detection
+    map.  Failures raise :class:`PipelineError` tagged ``enhance``,
+    ``spectrum`` or ``detect``.
     """
     if config is None:
         config = PipelineConfig()
-    if beta is None:
-        beta = default_harmonic_weights(config.m_harmonics)
     fs = trace.sample_rate_hz
     if noise_reference is None:
         noise_reference = NoiseReference.unity(trace.n_samples)
@@ -495,36 +444,42 @@ def estimate_rpm(
         spec = welch_psd(enhanced, fs, segment_len=segment)
     except ValueError as exc:
         raise PipelineError("spectrum", str(exc)) from exc
-    band = _prepare_band(spec, config.input_bins, config.detector == "network")
-    dmap = _detect(band, config, weights)
-    try:
-        coarse = coarse_estimate(
-            dmap,
-            beta,
-            f_min_hz=config.f_min_hz,
-            delta_f_hz=config.delta_f_hz,
-            n_support=config.n_support,
-            detection_threshold=config.detection_threshold,
+    if config.detector == "network" and spec.n_bins < config.input_bins:
+        raise PipelineError(
+            "spectrum", f"need {config.input_bins} bins for the network, got {spec.n_bins}"
         )
-    except ValueError as exc:
-        raise PipelineError("coarse", str(exc)) from exc
-    delta_f = coarse.likelihood.delta_f_hz
-    fine = fine_estimate(
-        enhanced,
-        fs,
-        coarse.frequency_hz,
-        segment_len=segment,
-        gamma=config.gamma,
-        delta_f_hz=delta_f,
+    band = log_normalize(
+        PowerSpectrum(
+            frequencies=spec.frequencies[: config.input_bins],
+            densities=spec.densities[: config.input_bins],
+            resolution_df=spec.resolution_df,
+        )
     )
-    confidence = float(np.clip(coarse.score / beta.values.sum(), 0.0, 1.0))
-    return SpeedEstimate(
-        fine_hz=fine,
-        coarse_hz=coarse.frequency_hz,
-        rpm=60.0 * fine,
-        confidence=confidence,
-        flags=coarse.flags,
-    )
+    if config.detector == "threshold":
+        dmap = threshold_detector(band, quantile=config.threshold_quantile)
+        return enhanced, segment, dmap
+    if weights is None:
+        if config.weights_path is None:
+            raise PipelineError(
+                "detect", "network detector needs weights or weights_path"
+            )
+        weights = PpspWeights.load(config.weights_path)
+    return enhanced, segment, detect_with_network(band, weights)
+
+
+def estimate_rpm(
+    trace: SensorTrace,
+    config: PipelineConfig | None = None,
+    *,
+    noise_reference: NoiseReference | None = None,
+    beta: HarmonicWeights | None = None,
+    weights: PpspWeights | None = None,
+) -> SpeedEstimate:
+    """Full pipeline for one motor: the first pick of
+    :func:`estimate_rpm_multi`."""
+    return estimate_rpm_multi(
+        trace, 1, config, noise_reference=noise_reference, beta=beta, weights=weights
+    )[0]
 
 
 def estimate_rpm_multi(
@@ -536,15 +491,18 @@ def estimate_rpm_multi(
     beta: HarmonicWeights | None = None,
     weights: PpspWeights | None = None,
 ) -> list[SpeedEstimate]:
-    """Iterative multi-motor estimation.
+    """Full pipeline for up to ``count`` motors: :func:`detect_harmonics`,
+    then one :func:`coarse_estimate` and :func:`fine_estimate` per pick.
 
-    After each pick, the detection evidence within ``delta_f`` of every
-    integer multiple of the winner is cleared before rescoring, so later
-    picks can neither be the winner's harmonics nor subharmonic ghosts
-    that borrow its ladder.  The first pick mirrors
-    :func:`estimate_rpm` exactly, fallback path included.  When supported
-    candidates run out before ``count`` picks, the list comes up short and
-    every returned estimate carries a ``harmonic_shortfall`` flag.
+    The confidence is the winning score normalized by the best achievable
+    score (all harmonics fully detected); a first pick that scores <= 0
+    carries ``low_confidence``.  Before each later pick, the detection
+    evidence within ``delta_f`` of every integer multiple of the winner is
+    cleared, so later picks can neither be the winner's harmonics nor
+    subharmonic ghosts that borrow its ladder.  Picking stops when the
+    coarse stage falls back or its winner scores <= 0; then the list comes
+    up short and every returned estimate carries a ``harmonic_shortfall``
+    flag.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -552,69 +510,55 @@ def estimate_rpm_multi(
         config = PipelineConfig()
     if beta is None:
         beta = default_harmonic_weights(config.m_harmonics)
-    fs = trace.sample_rate_hz
-    if noise_reference is None:
-        noise_reference = NoiseReference.unity(trace.n_samples)
-    try:
-        max_lag = int(round(config.max_lag_s * fs))
-        enhanced = delay_and_sum(trace, noise_reference, max_lag=max_lag)
-        segment = config.welch_segment or default_segment_len(fs, enhanced.size)
-        spec = welch_psd(enhanced, fs, segment_len=segment)
-    except ValueError as exc:
-        raise PipelineError("enhance", str(exc)) from exc
-    band = _prepare_band(spec, config.input_bins, config.detector == "network")
-    dmap = _detect(band, config, weights)
+    enhanced, segment, dmap = detect_harmonics(
+        trace, config, noise_reference=noise_reference, weights=weights
+    )
     freqs = dmap.bin_frequencies
-    spacing = _grid_spacing(freqs)
-    probs = dmap.probabilities.copy()
     estimates: list[SpeedEstimate] = []
     for pick in range(count):
-        current = DetectionMap(probabilities=probs, bin_frequencies=freqs)
-        like = compute_likelihood(
-            current, beta, f_min_hz=config.f_min_hz, delta_f_hz=config.delta_f_hz
-        )
-        delta_f = like.delta_f_hz
-        supported = _support_mask(
-            current, like.candidate_hz, delta_f, config.n_support,
-            config.detection_threshold,
-        )
-        pool = supported & (like.scores > 0.0)
-        flags: tuple[str, ...] = ()
-        if not pool.any():
-            if pick > 0:
-                break
-            # nothing supported on the untouched map: match estimate_rpm's
-            # fallback so k = 1 stays equivalent to the single-source path
-            scores = like.scores
-            flags = ("fallback", "low_confidence")
-        else:
-            scores = np.where(pool, like.scores, -np.inf)
-        best = int(np.argmax(scores))
-        f_coarse = float(like.candidate_hz[best])
+        try:
+            coarse = coarse_estimate(
+                dmap,
+                beta,
+                f_min_hz=config.f_min_hz,
+                delta_f_hz=config.delta_f_hz,
+                n_support=config.n_support,
+                detection_threshold=config.detection_threshold,
+            )
+        except ValueError as exc:
+            raise PipelineError("coarse", str(exc)) from exc
+        flags = coarse.flags
+        if pick > 0 and ("fallback" in flags or coarse.score <= 0.0):
+            break
+        if coarse.score <= 0.0 and "low_confidence" not in flags:
+            flags += ("low_confidence",)
+        delta_f = coarse.likelihood.delta_f_hz
         fine = fine_estimate(
             enhanced,
-            fs,
-            f_coarse,
+            trace.sample_rate_hz,
+            coarse.frequency_hz,
             segment_len=segment,
             gamma=config.gamma,
             delta_f_hz=delta_f,
         )
-        confidence = float(np.clip(like.scores[best] / beta.values.sum(), 0.0, 1.0))
         estimates.append(
             SpeedEstimate(
                 fine_hz=fine,
-                coarse_hz=f_coarse,
+                coarse_hz=coarse.frequency_hz,
                 rpm=60.0 * fine,
-                confidence=confidence,
+                confidence=float(np.clip(coarse.score / beta.values.sum(), 0.0, 1.0)),
                 flags=flags,
             )
         )
+        if pick + 1 == count:
+            break
         # clear the winner's harmonic evidence before the next pick; the
         # fine frequency tracks the true ladder where the coarse pick can
         # sit a bin off, and each window grows over the contiguous
         # binarized run so a leakage cluster dies whole
-        r = _window_radius_bins(delta_f, spacing)
-        binary = probs >= config.detection_threshold
+        r = _window_radius_bins(delta_f, _grid_spacing(freqs))
+        binary = dmap.binarize(config.detection_threshold)
+        probs = dmap.probabilities.copy()
         band_max = float(freqs[-1])
         orders = 0
         while (orders + 1) * fine <= band_max + delta_f:
@@ -628,17 +572,9 @@ def estimate_rpm_multi(
                 while hi < freqs.size and binary[hi]:
                     hi += 1
                 probs[lo:hi] = 0.0
+        dmap = DetectionMap(probabilities=probs, bin_frequencies=freqs)
     if len(estimates) < count:
-        estimates = [
-            SpeedEstimate(
-                fine_hz=e.fine_hz,
-                coarse_hz=e.coarse_hz,
-                rpm=e.rpm,
-                confidence=e.confidence,
-                flags=e.flags + ("harmonic_shortfall",),
-            )
-            for e in estimates
-        ]
+        estimates = [replace(e, flags=e.flags + ("harmonic_shortfall",)) for e in estimates]
     return estimates
 
 

@@ -183,19 +183,6 @@ class ArrayGeometry:
         src = np.asarray(source_cm, dtype=np.float64)
         return np.sqrt(((pos - src) ** 2).sum(axis=1))
 
-    def calibrated_speed(
-        self, source_cm: tuple[float, float], delta_t_s: float
-    ) -> float:
-        """Effective speed that makes the path difference between the last
-        and first sensor at ``source_cm`` equal a delay of ``delta_t_s``."""
-        if delta_t_s <= 0:
-            raise ValueError("delta_t_s must be positive")
-        d = self.distances_cm(source_cm)
-        gap = abs(d[-1] - d[0])
-        if gap == 0.0:
-            raise ValueError("source is equidistant from the outer sensors")
-        return gap / delta_t_s
-
     def to_dict(self) -> dict:
         return {
             "sensor_positions_cm": [list(p) for p in self.sensor_positions_cm],

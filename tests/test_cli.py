@@ -197,6 +197,18 @@ class TestEstimate:
         ])
         assert code == 4
 
+    def test_impossible_band_is_pipeline_error_on_both_paths(
+        self, tmp_path, sensing_config, capsys
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        for name, extra in (("single", ()), ("multi", ("--multi", "2"))):
+            code = main([
+                "estimate", "--trace", str(sim / "trace.csv"), *extra,
+                "--set", "f_min_hz=3000", "--out", str(tmp_path / name),
+            ])
+            assert code == 4
+            assert "[coarse]" in capsys.readouterr().err
+
     def test_set_adjusts_pipeline(self, tmp_path, sensing_config):
         sim = simulate(tmp_path, sensing_config)
         out = tmp_path / "coarse_only"

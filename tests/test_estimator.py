@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from magrev.estimator import (
     coarse_estimate,
     compute_likelihood,
     default_harmonic_weights,
+    detect_harmonics,
     estimate_rpm,
     estimate_rpm_multi,
     fine_estimate,
@@ -267,7 +270,7 @@ class TestEstimateRpm:
         trace = SensorTrace(channels=np.zeros((4, 8192)), sample_rate_hz=8192.0)
         with pytest.raises(PipelineError) as err:
             estimate_rpm(trace)
-        assert err.value.stage in ("enhance", "spectrum", "coarse")
+        assert err.value.stage == "enhance"
 
     def test_impossible_band_fails_in_coarse_stage(self):
         trace = four_sensor_trace(3000.0)
@@ -362,6 +365,94 @@ class TestEstimateRpmMulti:
         trace = four_sensor_trace(3000.0)
         with pytest.raises(ValueError):
             estimate_rpm_multi(trace, 0)
+
+    def test_impossible_band_fails_in_coarse_stage(self):
+        trace = four_sensor_trace(3000.0)
+        with pytest.raises(PipelineError) as err:
+            estimate_rpm_multi(trace, 2, PipelineConfig(f_min_hz=3000.0))
+        assert err.value.stage == "coarse"
+
+    def test_welch_failure_is_tagged_spectrum_on_both_paths(self):
+        trace = four_sensor_trace(3000.0)
+        config = PipelineConfig(welch_segment=10**6)
+        for run in (
+            lambda: estimate_rpm(trace, config),
+            lambda: estimate_rpm_multi(trace, 2, config),
+        ):
+            with pytest.raises(PipelineError) as err:
+                run()
+            assert err.value.stage == "spectrum"
+
+    def test_zero_score_first_pick_is_low_confidence_on_both_paths(self):
+        # a missing fundamental with m_harmonics=1: every supported
+        # candidate scores 0, so the pick is kept but flagged
+        from magrev.signals import ArrayGeometry, CoilParams
+
+        profile = MotorProfile.from_rpm(1800.0, harmonics=[(2, 0.5, 0.7), (3, 0.25, 1.9)])
+        geometry = ArrayGeometry(
+            sensor_positions_cm=((-12.0, 30.0), (-4.0, 30.0), (4.0, 30.0), (12.0, 30.0)),
+        )
+        trace = simulate_mixture(
+            [profile], geometry, NoiseProfile(), CoilParams(), 1.0, 8192.0, None
+        )
+        config = PipelineConfig(m_harmonics=1)
+        single = estimate_rpm(trace, config)
+        assert estimate_rpm_multi(trace, 1, config) == [single]
+        assert single.confidence == 0.0
+        assert single.flags == ("low_confidence",)
+
+
+class TestOneStagedPath:
+    """estimate_rpm is the first pick of estimate_rpm_multi, and that pick
+    is detect_harmonics -> coarse_estimate -> fine_estimate."""
+
+    @staticmethod
+    def staged(trace, config, beta):
+        enhanced, segment, dmap = detect_harmonics(trace, config)
+        coarse = coarse_estimate(
+            dmap, beta, f_min_hz=config.f_min_hz, delta_f_hz=config.delta_f_hz,
+            n_support=config.n_support, detection_threshold=config.detection_threshold,
+        )
+        fine = fine_estimate(
+            enhanced, trace.sample_rate_hz, coarse.frequency_hz, segment_len=segment,
+            gamma=config.gamma, delta_f_hz=coarse.likelihood.delta_f_hz,
+        )
+        return fine, coarse
+
+    def check(self, trace, config, beta=None):
+        single = estimate_rpm(trace, config, beta=beta)
+        assert estimate_rpm_multi(trace, 1, config, beta=beta) == [single]
+        first = estimate_rpm_multi(trace, 2, config, beta=beta)[0]
+        flags = tuple(f for f in first.flags if f != "harmonic_shortfall")
+        assert replace(first, flags=flags) == single
+        fine, coarse = self.staged(
+            trace, config, beta or default_harmonic_weights(config.m_harmonics)
+        )
+        assert (single.fine_hz, single.coarse_hz) == (fine, coarse.frequency_hz)
+        return single
+
+    def test_seeded_speeds(self):
+        rng = np.random.default_rng(606)
+        noise = NoiseProfile(mains_components=((60.0, 0.0005),), broadband_sigma=0.0005)
+        config = PipelineConfig()
+        rpms = rng.uniform(700.0, 8000.0, size=30)
+        hits = 0
+        for rpm in rpms:
+            trace = four_sensor_trace(float(rpm), int(rng.integers(0, 2**31)), noise)
+            hits += abs(self.check(trace, config).rpm - rpm) <= 60.0
+        assert hits >= 27  # 30 of 30 within 60 RPM when written
+
+    def test_fitted_beta(self):
+        rng = np.random.default_rng(607)
+        config = PipelineConfig()
+        train_rpms = (900.0, 2400.0, 4100.0, 6300.0)
+        maps = [
+            detect_harmonics(four_sensor_trace(rpm, int(rng.integers(0, 2**31))), config)[2]
+            for rpm in train_rpms
+        ]
+        beta = fit_beta(maps, [rpm / 60.0 for rpm in train_rpms])
+        assert not np.allclose(beta.values, default_harmonic_weights().values)
+        self.check(four_sensor_trace(3300.0, int(rng.integers(0, 2**31))), config, beta)
 
 
 class TestFitBeta:
