@@ -4,181 +4,27 @@ The package covers the full chain: synthesizing sensor-array captures of
 rotating machinery, spectral denoising and delay-and-sum enhancement,
 harmonic detection (quantile threshold or a trainable spectrum-parsing
 network), fuzzy-logic speed estimation, and a benchmark harness with
-reference baselines.
+reference baselines.  The package namespace holds the estimation entry
+points; everything else is imported from its module (see the README's
+module map).
 """
 
-from .detector import (
-    DetectionMap,
-    LabeledTrace,
-    TrainingSample,
-    augment,
-    augment_sweep,
-    build_label_mask,
-    detect_with_network,
-    load_training_set,
-    make_training_sample,
-    save_training_set,
-    synthesize_training_set,
-    threshold_detector,
-    train,
-)
-from .dsp import (
-    SPECTRAL_FLOOR,
-    NoiseReference,
-    PowerSpectrum,
-    default_segment_len,
-    delay_and_sum,
-    estimate_delay,
-    log_normalize,
-    resample,
-    shift_signal,
-    spectral_denoise,
-    welch_psd,
-)
 from .estimator import (
-    CoarseResult,
-    FuzzyLikelihood,
-    HarmonicWeights,
     PipelineConfig,
     PipelineError,
     SpeedEstimate,
-    coarse_estimate,
-    compute_likelihood,
-    default_harmonic_weights,
     detect_harmonics,
     estimate_rpm,
     estimate_rpm_multi,
-    fine_estimate,
-    fit_beta,
-)
-from .evaluation import (
-    BenchResult,
-    SerMap,
-    SweepScenario,
-    autocorrelation_baseline,
-    calibrated_map_speed,
-    default_sweep_scenario,
-    peak_detection_baseline,
-    rmae,
-    run_distance_sweep,
-    run_ser_map,
-    spearman_rank_correlation,
-)
-from .ppsp import (
-    AdamState,
-    PpspConfig,
-    PpspWeights,
-    TrainingDivergedError,
-    dice_loss,
-    init_weights,
-    loss_and_grads,
-    ppsp_backward,
-    ppsp_forward,
-)
-from .sensor_io import (
-    load_sensing_config,
-    load_trace_csv,
-    load_trace_wav,
-    parse_sensing_config,
-    save_sensing_config,
-    save_trace_csv,
-    save_trace_wav,
-)
-from .signals import (
-    MU_0,
-    ArrayGeometry,
-    CoilParams,
-    MotorProfile,
-    NoiseProfile,
-    SensorTrace,
-    apply_path_loss,
-    compute_ser,
-    induce_voltage,
-    resonance_capacitance,
-    simulate_array,
-    simulate_mixture,
-    synthesize_field,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MU_0",
-    "SPECTRAL_FLOOR",
-    "AdamState",
-    "ArrayGeometry",
-    "BenchResult",
-    "CoarseResult",
-    "CoilParams",
-    "DetectionMap",
-    "FuzzyLikelihood",
-    "HarmonicWeights",
-    "LabeledTrace",
-    "MotorProfile",
-    "NoiseProfile",
-    "NoiseReference",
     "PipelineConfig",
     "PipelineError",
-    "PowerSpectrum",
-    "PpspConfig",
-    "PpspWeights",
-    "SensorTrace",
-    "SerMap",
     "SpeedEstimate",
-    "SweepScenario",
-    "TrainingDivergedError",
-    "TrainingSample",
-    "apply_path_loss",
-    "augment",
-    "augment_sweep",
-    "autocorrelation_baseline",
-    "build_label_mask",
-    "calibrated_map_speed",
-    "coarse_estimate",
-    "compute_likelihood",
-    "compute_ser",
-    "default_harmonic_weights",
-    "default_segment_len",
-    "default_sweep_scenario",
-    "delay_and_sum",
     "detect_harmonics",
-    "detect_with_network",
-    "dice_loss",
-    "estimate_delay",
     "estimate_rpm",
     "estimate_rpm_multi",
-    "fine_estimate",
-    "fit_beta",
-    "induce_voltage",
-    "init_weights",
-    "load_sensing_config",
-    "load_trace_csv",
-    "load_trace_wav",
-    "load_training_set",
-    "log_normalize",
-    "loss_and_grads",
-    "make_training_sample",
-    "parse_sensing_config",
-    "peak_detection_baseline",
-    "ppsp_backward",
-    "ppsp_forward",
-    "resample",
-    "resonance_capacitance",
-    "rmae",
-    "run_distance_sweep",
-    "run_ser_map",
-    "save_sensing_config",
-    "save_trace_csv",
-    "save_trace_wav",
-    "save_training_set",
-    "shift_signal",
-    "simulate_array",
-    "simulate_mixture",
-    "spearman_rank_correlation",
-    "spectral_denoise",
-    "synthesize_field",
-    "synthesize_training_set",
-    "threshold_detector",
-    "train",
-    "welch_psd",
 ]

@@ -10,7 +10,8 @@ Conventions shared by all subcommands:
 
 * ``--config PATH`` loads a JSON document; ``--set key=value`` (repeatable)
   overrides single entries, with dots for nesting (``pipeline.gamma=100``).
-  Values parse as JSON, falling back to plain strings.
+  Values parse as JSON, falling back to plain strings.  Each section goes
+  to its dataclass constructor, so an unknown or invalid key exits 2.
 * commands that draw randomness require ``--seed``; given the same seed and
   config they write byte-identical outputs.
 * ``--out DIR`` names the output directory (created if needed); every run
@@ -22,12 +23,10 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .detector import load_training_set, synthesize_training_set, train
 from .dsp import NoiseReference, default_segment_len, delay_and_sum, welch_psd
@@ -40,13 +39,17 @@ from .estimator import (
     estimate_rpm_multi,
 )
 from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
-from .ppsp import PpspConfig, PpspWeights, TrainingDivergedError
+from .ppsp import PpspConfig, TrainingDivergedError
 from .sensor_io import (
+    json_fingerprint,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
+    read_json,
     save_trace_csv,
     save_trace_wav,
+    write_json,
+    write_table,
 )
 from .signals import (
     ArrayGeometry,
@@ -68,11 +71,6 @@ class _ConfigError(Exception):
 
 class _IoError(Exception):
     pass
-
-
-def _fingerprint(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _parse_set(entry: str) -> tuple[list[str], object]:
@@ -108,13 +106,13 @@ def _load_json_config(path: str | None) -> dict:
         return {}
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
+        data = read_json(p)
     except FileNotFoundError as exc:
         raise _IoError(f"{p}: config file not found") from exc
     except OSError as exc:
         raise _IoError(f"{p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _ConfigError(f"{p}: not valid JSON ({exc})") from exc
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise _ConfigError(f"{p}: top level must be a JSON object")
     return data
@@ -159,33 +157,30 @@ def _load_reference(path: str | None, n_samples: int) -> NoiseReference:
         raise _IoError(f"{p}: cannot read noise reference ({exc})") from exc
 
 
+def _keys(cls) -> list[str]:
+    return sorted(f.name for f in fields(cls))
+
+
 def _pipeline_config(args) -> tuple[PipelineConfig, dict]:
     doc = _load_json_config(args.config)
     doc = _apply_sets(doc, args.set)
-    base = PipelineConfig().to_dict()
-    unknown = set(doc) - set(base)
-    if unknown:
-        raise _ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-    base.update(doc)
     try:
-        config = PipelineConfig.from_dict(base)
+        config = PipelineConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise _ConfigError(f"bad pipeline config: {exc}") from exc
     if args.weights is not None:
-        merged = {**config.to_dict(), "weights_path": args.weights}
-        if "detector" not in doc:
-            # passing weights means the network detector, unless the
-            # config said otherwise explicitly
-            merged["detector"] = "network"
-        config = PipelineConfig.from_dict(merged)
-    return config, config.to_dict()
+        # passing weights means the network detector, unless the config
+        # said otherwise explicitly
+        detector = doc.get("detector", "network")
+        config = replace(config, weights_path=args.weights, detector=detector)
+    return config, asdict(config)
 
 
 def _write_meta(out: Path, command: str, doc: dict) -> None:
     meta = dict(doc)
     meta["command"] = command
-    meta["fingerprint"] = _fingerprint(doc)
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta["fingerprint"] = json_fingerprint(doc)
+    write_json(out / "meta.json", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +306,12 @@ def _cmd_estimate(args) -> int:
     doc = {
         "trace": str(args.trace),
         "pipeline": config_doc,
-        "estimates": [e.to_dict() for e in estimates],
+        "estimates": [asdict(e) for e in estimates],
     }
-    (out / "estimate.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    lines = [SpeedEstimate.CSV_HEADER] + [e.csv_row() for e in estimates]
-    (out / "estimate.csv").write_text("\n".join(lines) + "\n")
+    write_json(out / "estimate.json", doc)
+    write_table(
+        out / "estimate.csv", SpeedEstimate.CSV_HEADER, [e.csv_row() for e in estimates]
+    )
     _write_meta(out, "estimate", {"trace": str(args.trace), "pipeline": config_doc})
     for e in estimates:
         flag_note = f" [{','.join(e.flags)}]" if e.flags else ""
@@ -331,10 +327,8 @@ def _cmd_train(args) -> int:
     unknown = set(doc) - known
     if unknown:
         raise _ConfigError(f"unknown training config keys: {sorted(unknown)}")
-    net_doc = dict(doc.get("network", {}))
-    net_doc.setdefault("seed", seed)
     try:
-        net_config = PpspConfig.from_dict(net_doc)
+        net_config = PpspConfig(**{"seed": seed, **doc.get("network", {})})
     except (TypeError, ValueError) as exc:
         raise _ConfigError(f"bad network config: {exc}") from exc
     if args.samples is not None:
@@ -360,12 +354,11 @@ def _cmd_train(args) -> int:
     )
     out = _out_dir(args)
     weights.save(out / "weights.ppsp")
-    hist_lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(history)]
-    (out / "history.csv").write_text("\n".join(hist_lines) + "\n")
+    write_table(out / "history.csv", ("epoch", "loss"), enumerate(history))
     _write_meta(
         out,
         "train",
-        {"config": doc, "seed": seed, "network": net_config.to_dict(),
+        {"config": doc, "seed": seed, "network": asdict(net_config),
          "n_samples": len(samples)},
     )
     final = f"{history[-1]:.4f}" if history else "n/a"
@@ -379,23 +372,13 @@ def _cmd_bench(args) -> int:
     doc = _apply_sets(doc, args.set)
     if args.seed is not None:
         doc["master_seed"] = int(args.seed)
-    base = SweepScenario().to_dict()
-    unknown = set(doc) - set(base)
-    if unknown:
-        raise _ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    merged = dict(base)
-    for key, value in doc.items():
-        if key == "pipeline" and isinstance(value, dict):
-            merged["pipeline"] = {**base["pipeline"], **value}
-        else:
-            merged[key] = value
     try:
-        scenario = SweepScenario.from_dict(merged)
+        scenario = SweepScenario(**doc)
     except (TypeError, ValueError) as exc:
         raise _ConfigError(f"bad scenario: {exc}") from exc
     out = _out_dir(args)
     result = run_distance_sweep(scenario, out_dir=out)
-    _write_meta(out, "bench", {"scenario": scenario.to_dict()})
+    _write_meta(out, "bench", {"scenario": asdict(scenario)})
     print(f"fingerprint {result.fingerprint}")
     for method, errs in sorted(result.mean_error_pct.items()):
         print(f"{method}: {errs[0]:.2f}% at {result.distances_cm[0]:.0f} cm, "
@@ -429,16 +412,14 @@ def _cmd_sermap(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-_PIPELINE_KEYS_HELP = (
-    "config keys: " + ", ".join(sorted(PipelineConfig().to_dict())) + "."
-)
+_PIPELINE_KEYS_HELP = "config keys: " + ", ".join(_keys(PipelineConfig)) + "."
 _SCENARIO_KEYS_HELP = (
-    "config keys: " + ", ".join(sorted(SweepScenario().to_dict()))
+    "config keys: " + ", ".join(_keys(SweepScenario))
     + "; pipeline.* nests the estimate keys."
 )
 _TRAIN_KEYS_HELP = (
     "config keys: epochs, batch_size, learning_rate, dice_eps, count, "
-    "network.* (" + ", ".join(sorted(PpspConfig().to_dict())) + ")."
+    "network.* (" + ", ".join(_keys(PpspConfig)) + ")."
 )
 _SENSING_KEYS_HELP = (
     "config sections: motor or motors, geometry, noise, coil, plus "

@@ -18,7 +18,6 @@ scaled speed, and a synthetic dataset generator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from .ppsp import (
     ppsp_forward,
     update_running_stats,
 )
+from .sensor_io import read_json, read_table, write_json, write_table
 from .signals import CoilParams, MotorProfile, NoiseProfile, induce_voltage
 
 __all__ = [
@@ -79,42 +79,23 @@ class DetectionMap:
         ):
             raise ValueError("probabilities must lie in [0, 1]")
 
+    CSV_HEADER = ("frequency_hz", "probability")
+
     @property
     def n_bins(self) -> int:
         return self.probabilities.size
-
-    @property
-    def delta_f(self) -> float:
-        if self.n_bins < 2:
-            raise ValueError("need at least two bins for a spacing")
-        return float(self.bin_frequencies[1] - self.bin_frequencies[0])
 
     def binarize(self, threshold: float = 0.5) -> np.ndarray:
         """Boolean detections: probability >= threshold."""
         return self.probabilities >= threshold
 
-    def detected_frequencies(self, threshold: float = 0.5) -> np.ndarray:
-        return self.bin_frequencies[self.binarize(threshold)]
-
     def save_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        lines = ["frequency_hz,probability"]
-        for f, p in zip(self.bin_frequencies, self.probabilities):
-            lines.append(f"{float(f)!r},{float(p)!r}")
-        path.write_text("\n".join(lines) + "\n")
+        write_table(path, self.CSV_HEADER, zip(self.bin_frequencies, self.probabilities))
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "DetectionMap":
-        path = Path(path)
-        lines = path.read_text().strip().splitlines()
-        if not lines or lines[0] != "frequency_hz,probability":
-            raise ValueError(f"{path}: not a detection map CSV")
-        freqs, probs = [], []
-        for line in lines[1:]:
-            a, b = line.split(",")
-            freqs.append(float(a))
-            probs.append(float(b))
-        return cls(probabilities=np.array(probs), bin_frequencies=np.array(freqs))
+        _, values = read_table(path, cls.CSV_HEADER)
+        return cls(probabilities=values[:, 1], bin_frequencies=values[:, 0])
 
 
 def build_label_mask(
@@ -388,6 +369,9 @@ def _single_channel_noise(
 # ---------------------------------------------------------------------------
 
 
+_SAMPLE_HEADER = ("frequency_hz", "feature", "mask")
+
+
 def save_training_set(samples: list[TrainingSample], directory: str | Path) -> None:
     """One CSV (frequency, feature, mask) and one JSON of metadata per
     sample, numbered in order."""
@@ -395,34 +379,31 @@ def save_training_set(samples: list[TrainingSample], directory: str | Path) -> N
     directory.mkdir(parents=True, exist_ok=True)
     for i, sample in enumerate(samples):
         stem = directory / f"sample_{i:04d}"
-        lines = ["frequency_hz,feature,mask"]
-        for f, x, y in zip(sample.bin_frequencies, sample.features, sample.mask):
-            lines.append(f"{float(f)!r},{float(x)!r},{float(y)!r}")
-        stem.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+        rows = zip(sample.bin_frequencies, sample.features, sample.mask)
+        write_table(stem.with_suffix(".csv"), _SAMPLE_HEADER, rows)
         meta = {"fundamental_hz": sample.fundamental_hz}
-        stem.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+        write_json(stem.with_suffix(".json"), meta, indent=None)
 
 
 def load_training_set(directory: str | Path) -> list[TrainingSample]:
     directory = Path(directory)
     samples: list[TrainingSample] = []
     for csv_path in sorted(directory.glob("sample_*.csv")):
-        lines = csv_path.read_text().strip().splitlines()
-        if not lines or lines[0] != "frequency_hz,feature,mask":
-            raise ValueError(f"{csv_path}: not a training sample CSV")
-        freqs, feats, mask = [], [], []
-        for line in lines[1:]:
-            a, b, c = line.split(",")
-            freqs.append(float(a))
-            feats.append(float(b))
-            mask.append(float(c))
-        meta = json.loads(csv_path.with_suffix(".json").read_text())
+        _, values = read_table(csv_path, _SAMPLE_HEADER)
+        json_path = csv_path.with_suffix(".json")
+        meta = read_json(json_path)
+        try:
+            fundamental_hz = float(meta["fundamental_hz"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{json_path}: bad or missing 'fundamental_hz' ({exc!r})"
+            ) from exc
         samples.append(
             TrainingSample(
-                features=np.array(feats),
-                mask=np.array(mask),
-                bin_frequencies=np.array(freqs),
-                fundamental_hz=float(meta["fundamental_hz"]),
+                features=values[:, 1],
+                mask=values[:, 2],
+                bin_frequencies=values[:, 0],
+                fundamental_hz=fundamental_hz,
             )
         )
     if not samples:

@@ -9,15 +9,15 @@ are summed.  Welch power spectra then feed the detector and estimator stages.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .sensor_io import read_table, write_table
 from .signals import SensorTrace
 
 SPECTRAL_FLOOR = 1.0
@@ -30,6 +30,8 @@ class NoiseReference:
     """Magnitude spectrum of a background capture, one value per rfft bin."""
 
     magnitudes: np.ndarray
+
+    CSV_HEADER = ("bin_index", "magnitude")
 
     def __post_init__(self):
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
@@ -75,21 +77,12 @@ class NoiseReference:
         return cls(magnitudes=np.ones(n_samples // 2 + 1))
 
     def save_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["bin_index", "magnitude"])
-            for i, m in enumerate(self.magnitudes):
-                writer.writerow([i, repr(float(m))])
+        write_table(path, self.CSV_HEADER, enumerate(self.magnitudes))
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "NoiseReference":
-        with Path(path).open("r", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["bin_index", "magnitude"]:
-                raise ValueError(f"{path}: expected 'bin_index,magnitude' header")
-            mags = [float(row[1]) for row in reader if row]
-        return cls(magnitudes=np.asarray(mags))
+        _, values = read_table(path, cls.CSV_HEADER)
+        return cls(magnitudes=values[:, 1])
 
 
 @dataclass
@@ -119,29 +112,8 @@ class PowerSpectrum:
         return self.frequencies.size
 
     def save_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["frequency_hz", "density"])
-            for f, d in zip(self.frequencies, self.densities):
-                writer.writerow([repr(float(f)), repr(float(d))])
-
-    @classmethod
-    def load_csv(cls, path: str | Path, normalized: bool = False) -> "PowerSpectrum":
-        with Path(path).open("r", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["frequency_hz", "density"]:
-                raise ValueError(f"{path}: expected 'frequency_hz,density' header")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        if len(rows) < 2:
-            raise ValueError(f"{path}: spectrum needs at least two bins")
-        freqs = np.asarray([r[0] for r in rows])
-        dens = np.asarray([r[1] for r in rows])
-        return cls(
-            frequencies=freqs,
-            densities=dens,
-            resolution_df=float(freqs[1] - freqs[0]),
-            normalized=normalized,
+        write_table(
+            path, ("frequency_hz", "density"), zip(self.frequencies, self.densities)
         )
 
 

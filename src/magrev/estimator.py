@@ -27,9 +27,7 @@ density peak among them.  RPM is exactly ``60 * fine``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -112,13 +110,6 @@ class PipelineConfig:
         if self.input_bins < 2:
             raise ValueError("input_bins must be >= 2")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(**data)
-
 
 @dataclass
 class HarmonicWeights:
@@ -136,17 +127,6 @@ class HarmonicWeights:
     @property
     def m(self) -> int:
         return self.values.size
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps({"harmonic_weights": self.values.tolist()}, sort_keys=True)
-            + "\n"
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HarmonicWeights":
-        data = json.loads(Path(path).read_text())
-        return cls(values=np.array(data["harmonic_weights"], dtype=np.float64))
 
 
 def default_harmonic_weights(m: int = 8) -> HarmonicWeights:
@@ -198,20 +178,11 @@ class SpeedEstimate:
         self.confidence = float(self.confidence)
         self.flags = tuple(self.flags)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    CSV_HEADER = ("rpm", "fine_hz", "coarse_hz", "confidence", "flags")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpeedEstimate":
-        return cls(**data)
-
-    CSV_HEADER = "rpm,fine_hz,coarse_hz,confidence,flags"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.rpm!r},{self.fine_hz!r},{self.coarse_hz!r},"
-            f"{self.confidence!r},{';'.join(self.flags)}"
-        )
+    def csv_row(self) -> tuple:
+        flags = ";".join(self.flags)
+        return (self.rpm, self.fine_hz, self.coarse_hz, self.confidence, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ saturates instead of vanishing from the average.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import NoiseReference, default_segment_len, welch_psd
 from .estimator import PipelineConfig, PipelineError, estimate_rpm
+from .ppsp import PpspWeights
+from .sensor_io import json_fingerprint, write_json, write_table
 from .signals import (
     ArrayGeometry,
     CoilParams,
@@ -181,54 +181,27 @@ class SweepScenario:
     use_noise_reference: bool = True
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate_hz": self.sample_rate_hz,
-            "duration_s": self.duration_s,
-            "distances_cm": list(self.distances_cm),
-            "speeds_rpm": list(self.speeds_rpm),
-            "trials_per_cell": self.trials_per_cell,
-            "master_seed": self.master_seed,
-            "sensor_positions_cm": [list(p) for p in self.sensor_positions_cm],
-            "effective_speed_cm_s": self.effective_speed_cm_s,
-            "reference_distance_cm": self.reference_distance_cm,
-            "amplitude_falloff_exponent": self.amplitude_falloff_exponent,
-            "harmonic_shape": [list(h) for h in self.harmonic_shape],
-            "target_peak_v": self.target_peak_v,
-            "target_peak_rpm": self.target_peak_rpm,
-            "mains": [list(m) for m in self.mains],
-            "broadband_sigma_v": self.broadband_sigma_v,
-            "shared_fraction": self.shared_fraction,
-            "baseline_f_min_hz": self.baseline_f_min_hz,
-            "baseline_f_max_hz": self.baseline_f_max_hz,
-            "use_noise_reference": self.use_noise_reference,
-            "pipeline": self.pipeline.to_dict(),
+    def __post_init__(self):
+        """JSON lists become the tuples above, and a ``pipeline`` dict
+        becomes a :class:`PipelineConfig`."""
+        normalized = {
+            "distances_cm": tuple(float(d) for d in self.distances_cm),
+            "speeds_rpm": tuple(float(s) for s in self.speeds_rpm),
+            "sensor_positions_cm": tuple(
+                (float(x), float(y)) for x, y in self.sensor_positions_cm
+            ),
+            "harmonic_shape": tuple((int(k), float(a)) for k, a in self.harmonic_shape),
+            "mains": tuple((float(f), float(a)) for f, a in self.mains),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepScenario":
-        kwargs = dict(data)
-        if "distances_cm" in kwargs:
-            kwargs["distances_cm"] = tuple(float(d) for d in kwargs["distances_cm"])
-        if "speeds_rpm" in kwargs:
-            kwargs["speeds_rpm"] = tuple(float(s) for s in kwargs["speeds_rpm"])
-        if "sensor_positions_cm" in kwargs:
-            kwargs["sensor_positions_cm"] = tuple(
-                (float(p[0]), float(p[1])) for p in kwargs["sensor_positions_cm"]
-            )
-        if "harmonic_shape" in kwargs:
-            kwargs["harmonic_shape"] = tuple(
-                (int(k), float(a)) for k, a in kwargs["harmonic_shape"]
-            )
-        if "mains" in kwargs:
-            kwargs["mains"] = tuple((float(f), float(a)) for f, a in kwargs["mains"])
-        if "pipeline" in kwargs and isinstance(kwargs["pipeline"], dict):
-            kwargs["pipeline"] = PipelineConfig.from_dict(kwargs["pipeline"])
-        return cls(**kwargs)
+        if isinstance(self.pipeline, dict):
+            normalized["pipeline"] = PipelineConfig(**self.pipeline)
+        elif not isinstance(self.pipeline, PipelineConfig):
+            raise TypeError("pipeline must be a PipelineConfig or a dict of its keys")
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return json_fingerprint(asdict(self))
 
 
 def default_sweep_scenario(**overrides) -> SweepScenario:
@@ -245,34 +218,6 @@ class BenchResult:
     dropped: dict[str, int]
     fingerprint: str
     scenario: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "distances_cm": self.distances_cm,
-            "mean_error_pct": self.mean_error_pct,
-            "dropped": self.dropped,
-            "fingerprint": self.fingerprint,
-            "scenario": self.scenario,
-        }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "BenchResult":
-        data = json.loads(Path(path).read_text())
-        return cls(
-            distances_cm=[float(d) for d in data["distances_cm"]],
-            mean_error_pct={
-                k: [float(v) for v in vals]
-                for k, vals in data["mean_error_pct"].items()
-            },
-            dropped={k: int(v) for k, v in data["dropped"].items()},
-            fingerprint=data["fingerprint"],
-            scenario=data["scenario"],
-        )
 
 
 def _scaled_profile(
@@ -314,12 +259,16 @@ def run_distance_sweep(
     baselines.
 
     Per-trial randomness is seeded from (master_seed, distance index, speed
-    index, trial index), so any cell can be reproduced in isolation.  When
-    ``out_dir`` is given, writes trials.csv, aggregate.csv, and summary.json.
+    index, trial index), so any cell can be reproduced in isolation.  A
+    network detector's weights are read once per sweep.  When ``out_dir`` is
+    given, writes trials.csv, aggregate.csv, and summary.json.
     """
     if scenario is None:
-        scenario = default_sweep_scenario()
-    fingerprint = scenario.fingerprint()
+        scenario = SweepScenario()
+    pipeline = scenario.pipeline
+    weights = None
+    if pipeline.detector == "network" and pipeline.weights_path is not None:
+        weights = PpspWeights.load(pipeline.weights_path)
     coil = CoilParams()
     noise = NoiseProfile(
         mains_components=scenario.mains,
@@ -329,7 +278,7 @@ def run_distance_sweep(
     methods = ("pipeline", "autocorrelation", "peak")
     errors: dict[str, list[list[float]]] = {m: [] for m in methods}
     dropped = {m: 0 for m in methods}
-    trial_rows: list[str] = []
+    trial_rows: list[tuple] = []
     n_samples = int(round(scenario.duration_s * scenario.sample_rate_hz))
     for di, distance in enumerate(scenario.distances_cm):
         cell_errors: dict[str, list[float]] = {m: [] for m in methods}
@@ -377,7 +326,7 @@ def run_distance_sweep(
                 results: dict[str, tuple[float, bool]] = {}
                 try:
                     est = estimate_rpm(
-                        trace, scenario.pipeline, noise_reference=reference
+                        trace, pipeline, noise_reference=reference, weights=weights
                     )
                     results["pipeline"] = (est.rpm, False)
                 except (PipelineError, ValueError):
@@ -416,36 +365,39 @@ def run_distance_sweep(
                         err = _trial_error_pct(value, rpm)
                     cell_errors[method].append(err)
                     trial_rows.append(
-                        f"{distance!r},{rpm!r},{trial},{method},"
-                        f"{value!r},{err!r},{int(failed)}"
+                        (distance, rpm, trial, method, value, err, int(failed))
                     )
         for method in methods:
             errors[method].append(cell_errors[method])
     mean_error = {
         m: [float(np.mean(cell)) for cell in errors[m]] for m in methods
     }
+    scenario_doc = asdict(scenario)
     result = BenchResult(
         distances_cm=[float(d) for d in scenario.distances_cm],
         mean_error_pct=mean_error,
         dropped=dropped,
-        fingerprint=fingerprint,
-        scenario=scenario.to_dict(),
+        fingerprint=json_fingerprint(scenario_doc),
+        scenario=scenario_doc,
     )
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        header = "distance_cm,speed_rpm,trial,method,rpm_estimate,error_pct,failed"
-        (out_dir / "trials.csv").write_text(
-            "\n".join([header, *trial_rows]) + "\n"
+        trials_header = (
+            "distance_cm", "speed_rpm", "trial", "method",
+            "rpm_estimate", "error_pct", "failed",
         )
-        agg_lines = ["distance_cm,method,mean_error_pct"]
-        for i, distance in enumerate(result.distances_cm):
-            for method in methods:
-                agg_lines.append(
-                    f"{distance!r},{method},{result.mean_error_pct[method][i]!r}"
-                )
-        (out_dir / "aggregate.csv").write_text("\n".join(agg_lines) + "\n")
-        result.save_json(out_dir / "summary.json")
+        write_table(out_dir / "trials.csv", trials_header, trial_rows)
+        write_table(
+            out_dir / "aggregate.csv",
+            ("distance_cm", "method", "mean_error_pct"),
+            (
+                (distance, method, result.mean_error_pct[method][i])
+                for i, distance in enumerate(result.distances_cm)
+                for method in methods
+            ),
+        )
+        write_json(out_dir / "summary.json", asdict(result))
     return result
 
 
@@ -499,11 +451,11 @@ class SerMap:
             return self.values >= threshold
 
     def save_csv(self, path: str | Path) -> None:
-        lines = ["y_cm\\x_cm," + ",".join(repr(float(x)) for x in self.x_cm)]
-        for iy, y in enumerate(self.y_cm):
-            row = ",".join(repr(float(v)) for v in self.values[iy])
-            lines.append(f"{float(y)!r},{row}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_table(
+            path,
+            ("y_cm\\x_cm", *self.x_cm),
+            ((y, *row) for y, row in zip(self.y_cm, self.values)),
+        )
 
 
 def run_ser_map(

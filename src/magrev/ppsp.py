@@ -20,7 +20,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,32 +94,6 @@ class PpspConfig:
                 raise ValueError("pyramid_reduced_filters must be >= 1")
             return self.pyramid_reduced_filters
         return max(1, self.filters_per_conv // 4)
-
-    def to_dict(self) -> dict:
-        return {
-            "input_bins": self.input_bins,
-            "encoder_levels": self.encoder_levels,
-            "filters_per_conv": self.filters_per_conv,
-            "conv_kernel": self.conv_kernel,
-            "pool_kernel": self.pool_kernel,
-            "multiscale_kernel_widths": list(self.multiscale_kernel_widths),
-            "pyramid_pool_kernels": list(self.pyramid_pool_kernels),
-            "pyramid_reduced_filters": self.pyramid_reduced_filters,
-            "seed": self.seed,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PpspConfig":
-        kwargs = dict(data)
-        if "multiscale_kernel_widths" in kwargs:
-            kwargs["multiscale_kernel_widths"] = tuple(
-                kwargs["multiscale_kernel_widths"]
-            )
-        if "pyramid_pool_kernels" in kwargs:
-            kwargs["pyramid_pool_kernels"] = tuple(kwargs["pyramid_pool_kernels"])
-        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +314,7 @@ class PpspWeights:
         path = Path(path)
         manifest = {
             "format_version": FORMAT_VERSION,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "params": {k: list(v.shape) for k, v in self.params.items()},
             "bn_state": {k: list(v.shape) for k, v in self.bn_state.items()},
         }
@@ -371,7 +345,12 @@ class PpspWeights:
                     f"{path}: unsupported weights format "
                     f"{manifest.get('format_version')}"
                 )
-            config = PpspConfig.from_dict(manifest["config"])
+            try:
+                config = PpspConfig(**manifest["config"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: bad network config in manifest ({exc})"
+                ) from exc
             tables = {}
             for group in ("params", "bn_state"):
                 table = {}
@@ -612,19 +591,6 @@ def loss_and_grads(
         dprobs[i, 0] = dice_loss_grad(probs[i, 0], y[i, 0], eps=dice_eps) / b
     grads = _backward(dprobs, saves, weights)
     return float(losses.mean()), grads, batch_stats
-
-
-def ppsp_backward(
-    spectrum: np.ndarray,
-    mask: np.ndarray,
-    weights: PpspWeights,
-    dice_eps: float = 1.0,
-):
-    """Loss and exact gradient of dice(ppsp(spectrum), mask) for one sample."""
-    loss, grads, _ = loss_and_grads(
-        np.asarray(spectrum)[None, :], np.asarray(mask)[None, :], weights, dice_eps
-    )
-    return loss, grads
 
 
 def update_running_stats(weights: PpspWeights, batch_stats) -> None:

@@ -1,27 +1,51 @@
-"""File formats for sensor traces and sensing configurations.
+"""File formats: every trace, table and JSON document magrev reads or writes
+goes through this module (the network weights archive is ``magrev.ppsp``'s).
 
-Traces persist either as multi-channel 16-bit PCM WAV (the capture format of
-the target hardware) or as CSV with one column per channel.  The CSV header
-carries the sample rate on a leading comment line:
+Tables (traces, noise references, spectra, detection maps, training
+samples, alignment maps, benchmark rows, estimates, loss histories) share
+one CSV convention, written by :func:`write_table` and read back by
+:func:`read_table`:
+
+* an optional first line ``# <comment>`` (traces keep ``fs_hz=<rate>``
+  there), then one header line, then one line per row;
+* fields are separated by commas, lines end in LF (files with CRLF endings
+  load the same);
+* a cell is written with ``str`` when it is a string or an integer and as
+  ``repr(float(v))`` otherwise, so floats round-trip exactly and NumPy
+  scalars never leak their type name;
+* the reader checks the header exactly and requires every row to have as
+  many fields as the header; every problem is a ``ValueError`` naming the
+  file and line.
+
+A trace looks like::
 
     # fs_hz=8192.0
     ch0,ch1,ch2,ch3
     ...
 
-WAV files do not carry a voltage scale, so exports return the volts-per-count
-used; keep it (e.g. in a sidecar) if absolute amplitudes matter.  The speed
-estimation pipeline is scale-invariant, so a default of 1.0 on import is fine
-for estimation work.
+Traces also persist as multi-channel 16-bit PCM WAV (the capture format of
+the target hardware).  WAV files do not carry a voltage scale, so exports
+return the volts-per-count used; keep it (e.g. in a sidecar) if absolute
+amplitudes matter.  The speed estimation pipeline is scale-invariant, so a
+default of 1.0 on import is fine for estimation work.
 
-Sensing configurations (motor, geometry, noise, coil) persist as one JSON
-document with those four sections.
+JSON documents (sensing configurations, ``meta.json``, estimates, benchmark
+summaries, training-sample metadata) are written by :func:`write_json`:
+sorted keys, indent 2 unless asked otherwise, and a trailing newline.
+Configuration dataclasses round-trip through ``dataclasses.asdict`` and
+their constructors, which normalise JSON lists back to tuples; a key the
+constructor does not know is an error, never silently ignored.  A sensing
+configuration is one JSON document with the sections motor (or motors),
+geometry, noise and coil.
 """
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import json
 import wave
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +53,120 @@ import numpy as np
 from .signals import ArrayGeometry, CoilParams, MotorProfile, NoiseProfile, SensorTrace
 
 PCM_FULL_SCALE = 32767
+
+# ---------------------------------------------------------------------------
+# Tables
+# ---------------------------------------------------------------------------
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        if "," in value or "\n" in value or "\r" in value:
+            raise ValueError(f"cell {value!r} holds a separator")
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def write_table(
+    path: str | Path,
+    header: Sequence,
+    rows: Iterable[Sequence],
+    comment: str | None = None,
+) -> None:
+    """Write ``rows`` under ``header`` in the table format of this module."""
+    path = Path(path)
+    lines = [] if comment is None else [f"# {comment}"]
+    width = len(header)
+    for number, cells in enumerate((header, *rows), start=len(lines) + 1):
+        try:
+            texts = [_cell(c) for c in cells]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from exc
+        if len(texts) != width:
+            raise ValueError(
+                f"{path}, line {number}: {len(texts)} fields, header has {width}"
+            )
+        lines.append(",".join(texts))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_table(
+    path: str | Path,
+    header: Sequence[str] | Callable[[int], Sequence[str]],
+) -> tuple[str | None, np.ndarray]:
+    """Read a table written by :func:`write_table`.
+
+    ``header`` is the exact list of column names, or, for tables whose width
+    varies (traces), a function from the file's column count to that list.
+    Returns the comment (the first line without its ``#``, or None) and the
+    cells as a float array of shape (rows, columns).  Blank lines are
+    skipped.
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    comment = None
+    start = 0
+    if lines and lines[0].startswith("#"):
+        comment = lines[0][1:].strip()
+        start = 1
+    if start >= len(lines):
+        raise ValueError(f"{path}, line {start + 1}: missing header line")
+    names = lines[start].split(",")
+    expected = list(header(len(names)) if callable(header) else header)
+    if names != expected:
+        raise ValueError(
+            f"{path}, line {start + 1}: expected header {','.join(expected)!r}, "
+            f"got {lines[start]!r}"
+        )
+    rows = []
+    for number, line in enumerate(lines[start + 1 :], start=start + 2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(expected):
+            raise ValueError(
+                f"{path}, line {number}: {len(cells)} fields, header has {len(expected)}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    return comment, np.array(rows, dtype=np.float64).reshape(len(rows), len(expected))
+
+
+# ---------------------------------------------------------------------------
+# JSON
+# ---------------------------------------------------------------------------
+
+
+def write_json(path: str | Path, doc, indent: int | None = 2) -> None:
+    """Write ``doc`` with sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file.  A missing file raises FileNotFoundError; bad JSON
+    raises ValueError naming the file."""
+    path = Path(path)
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def json_fingerprint(doc) -> str:
+    """First 16 hex digits of the SHA-256 of ``doc`` as compact, key-sorted
+    JSON."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Traces
+# ---------------------------------------------------------------------------
 
 
 def save_trace_wav(
@@ -70,32 +208,42 @@ def load_trace_wav(path: str | Path, volts_per_count: float = 1.0) -> SensorTrac
     return SensorTrace(channels=channels, sample_rate_hz=fs)
 
 
+def _channel_names(n: int) -> list[str]:
+    return [f"ch{i}" for i in range(n)]
+
+
 def save_trace_csv(trace: SensorTrace, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        handle.write(f"# fs_hz={trace.sample_rate_hz!r}\n")
-        writer = csv.writer(handle)
-        writer.writerow([f"ch{i}" for i in range(trace.n_channels)])
-        for row in trace.channels.T:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(
+        path,
+        _channel_names(trace.n_channels),
+        trace.channels.T,
+        comment=f"fs_hz={trace.sample_rate_hz!r}",
+    )
 
 
 def load_trace_csv(path: str | Path) -> SensorTrace:
-    path = Path(path)
-    with path.open("r", newline="") as handle:
-        first = handle.readline().strip()
-        if not first.startswith("#") or "fs_hz=" not in first:
-            raise ValueError(f"{path}: missing '# fs_hz=' header line")
-        fs = float(first.split("fs_hz=", 1)[1])
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: missing channel header row")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+    comment, values = read_table(path, _channel_names)
+    if comment is None or not comment.startswith("fs_hz="):
+        raise ValueError(f"{path}, line 1: missing '# fs_hz=' header line")
+    try:
+        fs = float(comment.split("=", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}, line 1: bad sample rate ({exc})") from None
+    if not values.size:
         raise ValueError(f"{path}: no samples")
-    channels = np.asarray(rows, dtype=np.float64).T
-    return SensorTrace(channels=channels, sample_rate_hz=fs)
+    return SensorTrace(channels=values.T, sample_rate_hz=fs)
+
+
+# ---------------------------------------------------------------------------
+# Sensing configurations
+# ---------------------------------------------------------------------------
+
+_SECTIONS = {
+    "motor": MotorProfile,
+    "geometry": ArrayGeometry,
+    "noise": NoiseProfile,
+    "coil": CoilParams,
+}
 
 
 def save_sensing_config(
@@ -109,68 +257,39 @@ def save_sensing_config(
 ) -> None:
     """Persist a sensing setup as JSON.  Either ``motor`` or ``motors`` may be
     given; other sections are optional and omitted when None."""
-    doc: dict = {}
     if motor is not None and motors is not None:
         raise ValueError("give either motor or motors, not both")
-    if motor is not None:
-        doc["motor"] = motor.to_dict()
+    sections = {"motor": motor, "geometry": geometry, "noise": noise, "coil": coil}
+    doc = {key: asdict(value) for key, value in sections.items() if value is not None}
     if motors is not None:
-        doc["motors"] = [m.to_dict() for m in motors]
-    if geometry is not None:
-        doc["geometry"] = geometry.to_dict()
-    if noise is not None:
-        doc["noise"] = noise.to_dict()
-    if coil is not None:
-        doc["coil"] = coil.to_dict()
+        doc["motors"] = [asdict(m) for m in motors]
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _section(data: dict, key: str, parser, path) -> object | None:
-    if key not in data:
-        return None
-    try:
-        return parser(data[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad '{key}' section: {exc}") from exc
+    write_json(path, doc)
 
 
 def parse_sensing_config(data: dict, source: str = "<config>") -> dict:
     """Typed sections from an in-memory sensing document.  Returns a dict
     with any of the keys motor / motors / geometry / noise / coil populated,
     plus 'raw' holding the full document; ``source`` names the origin in
-    error messages."""
+    error messages.  A section with a missing, unknown or invalid key raises
+    ValueError naming the section."""
     if not isinstance(data, dict):
         raise ValueError(f"{source}: top level must be a JSON object")
     out: dict = {"raw": data}
-    motor = _section(data, "motor", MotorProfile.from_dict, source)
-    if motor is not None:
-        out["motor"] = motor
-    if "motors" in data:
+    for key in (*_SECTIONS, "motors"):
+        if key not in data:
+            continue
         try:
-            out["motors"] = [MotorProfile.from_dict(m) for m in data["motors"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{source}: bad 'motors' section: {exc}") from exc
-    geometry = _section(data, "geometry", ArrayGeometry.from_dict, source)
-    if geometry is not None:
-        out["geometry"] = geometry
-    noise = _section(data, "noise", NoiseProfile.from_dict, source)
-    if noise is not None:
-        out["noise"] = noise
-    coil = _section(data, "coil", CoilParams.from_dict, source)
-    if coil is not None:
-        out["coil"] = coil
+            if key == "motors":
+                out[key] = [MotorProfile(**m) for m in data[key]]
+            else:
+                out[key] = _SECTIONS[key](**data[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source}: bad '{key}' section: {exc}") from exc
     return out
 
 
 def load_sensing_config(path: str | Path) -> dict:
     """Load a sensing setup from JSON; see :func:`parse_sensing_config`."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_sensing_config(data, source=str(path))
+    return parse_sensing_config(read_json(path), source=str(path))

@@ -22,13 +22,6 @@ import numpy as np
 MU_0 = 4.0e-7 * math.pi
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 @dataclass
 class MotorProfile:
     """Harmonic description of one rotating source.
@@ -56,6 +49,9 @@ class MotorProfile:
     position_cm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        self.period_s = float(self.period_s)
+        self.dc_offset = float(self.dc_offset)
+        self.pole_count = int(self.pole_count)
         if not (self.period_s > 0.0 and math.isfinite(self.period_s)):
             raise ValueError("period_s must be positive and finite")
         if self.pole_count < 1:
@@ -92,24 +88,6 @@ class MotorProfile:
         """Copy of this profile relocated to ``position_cm``."""
         return replace(self, position_cm=position_cm)
 
-    def to_dict(self) -> dict:
-        return {
-            "period_s": self.period_s,
-            "harmonics": [list(h) for h in self.harmonics],
-            "dc_offset": self.dc_offset,
-            "pole_count": self.pole_count,
-            "position_cm": list(self.position_cm),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MotorProfile":
-        return cls(
-            period_s=float(data["period_s"]),
-            harmonics=[tuple(h) for h in data["harmonics"]],
-            dc_offset=float(data.get("dc_offset", 0.0)),
-            pole_count=int(data.get("pole_count", 2)),
-            position_cm=tuple(data.get("position_cm", (0.0, 0.0))),
-        )
 
 
 @dataclass
@@ -122,6 +100,9 @@ class CoilParams:
     area_m2: float = 3.14e-4
 
     def __post_init__(self):
+        self.relative_permeability = float(self.relative_permeability)
+        self.turns = int(self.turns)
+        self.area_m2 = float(self.area_m2)
         if self.relative_permeability <= 0 or self.turns < 1 or self.area_m2 <= 0:
             raise ValueError("coil parameters must be positive")
 
@@ -129,20 +110,6 @@ class CoilParams:
     def scale(self) -> float:
         return MU_0 * self.relative_permeability * self.turns * self.area_m2
 
-    def to_dict(self) -> dict:
-        return {
-            "relative_permeability": self.relative_permeability,
-            "turns": self.turns,
-            "area_m2": self.area_m2,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoilParams":
-        return cls(
-            relative_permeability=float(data.get("relative_permeability", 300.0)),
-            turns=int(data.get("turns", 3500)),
-            area_m2=float(data.get("area_m2", 3.14e-4)),
-        )
 
 
 @dataclass
@@ -167,6 +134,9 @@ class ArrayGeometry:
         self.sensor_positions_cm = [
             (float(x), float(y)) for x, y in self.sensor_positions_cm
         ]
+        self.effective_speed_cm_s = float(self.effective_speed_cm_s)
+        self.reference_distance_cm = float(self.reference_distance_cm)
+        self.amplitude_falloff_exponent = float(self.amplitude_falloff_exponent)
         if self.effective_speed_cm_s <= 0:
             raise ValueError("effective_speed_cm_s must be positive")
         if self.reference_distance_cm <= 0:
@@ -183,24 +153,6 @@ class ArrayGeometry:
         src = np.asarray(source_cm, dtype=np.float64)
         return np.sqrt(((pos - src) ** 2).sum(axis=1))
 
-    def to_dict(self) -> dict:
-        return {
-            "sensor_positions_cm": [list(p) for p in self.sensor_positions_cm],
-            "effective_speed_cm_s": self.effective_speed_cm_s,
-            "reference_distance_cm": self.reference_distance_cm,
-            "amplitude_falloff_exponent": self.amplitude_falloff_exponent,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArrayGeometry":
-        return cls(
-            sensor_positions_cm=[tuple(p) for p in data["sensor_positions_cm"]],
-            effective_speed_cm_s=float(data.get("effective_speed_cm_s", 1000.0)),
-            reference_distance_cm=float(data.get("reference_distance_cm", 5.0)),
-            amplitude_falloff_exponent=float(
-                data.get("amplitude_falloff_exponent", 2.0)
-            ),
-        )
 
 
 @dataclass
@@ -220,6 +172,8 @@ class NoiseProfile:
         self.mains_components = [
             (float(f), float(a)) for f, a in self.mains_components
         ]
+        self.broadband_sigma = float(self.broadband_sigma)
+        self.shared_fraction = float(self.shared_fraction)
         if any(f <= 0 or a < 0 for f, a in self.mains_components):
             raise ValueError("mains components need positive frequency, amplitude >= 0")
         if self.broadband_sigma < 0:
@@ -239,20 +193,6 @@ class NoiseProfile:
         power += sum(a * a / 2.0 for _, a in self.mains_components)
         return math.sqrt(power)
 
-    def to_dict(self) -> dict:
-        return {
-            "mains_components": [list(c) for c in self.mains_components],
-            "broadband_sigma": self.broadband_sigma,
-            "shared_fraction": self.shared_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseProfile":
-        return cls(
-            mains_components=[tuple(c) for c in data.get("mains_components", [])],
-            broadband_sigma=float(data.get("broadband_sigma", 0.0)),
-            shared_fraction=float(data.get("shared_fraction", 0.0)),
-        )
 
 
 @dataclass
@@ -292,14 +232,6 @@ class SensorTrace:
 # ---------------------------------------------------------------------------
 
 
-def _field_at(profile: MotorProfile, t: np.ndarray) -> np.ndarray:
-    out = np.full(t.shape, profile.dc_offset, dtype=np.float64)
-    w0 = 2.0 * math.pi / profile.period_s
-    for k, d_k, phi_k in profile.harmonics:
-        out += d_k * np.cos(w0 * k * t - phi_k)
-    return out
-
-
 def _voltage_at(profile: MotorProfile, coil: CoilParams, t: np.ndarray) -> np.ndarray:
     # Faraday's law: the minus sign cancels against d/dt cos = -w sin,
     # leaving +scale * D_k * k * w0 * sin(k*w0*t - phi_k) per harmonic.
@@ -330,19 +262,6 @@ def _time_grid(duration_s: float, fs: float) -> np.ndarray:
     return np.arange(n, dtype=np.float64) / fs
 
 
-def synthesize_field(
-    profile: MotorProfile, duration_s: float, fs: float
-) -> np.ndarray:
-    """Sample the motor's magnetic field at the source.
-
-    Returns dc_offset + sum_k D_k * cos(2*pi*k*t/P - phi_k) on a uniform grid
-    of round(duration_s * fs) samples.  Rejects sample rates at or below twice
-    the highest harmonic frequency.
-    """
-    _check_nyquist(profile, fs)
-    return _field_at(profile, _time_grid(duration_s, fs))
-
-
 def induce_voltage(
     profile: MotorProfile, coil: CoilParams, duration_s: float, fs: float
 ) -> np.ndarray:
@@ -365,13 +284,6 @@ def apply_path_loss(
         geometry.amplitude_falloff_exponent
     )
     return amplitude * factor
-
-
-def resonance_capacitance(target_hz: float, inductance_h: float) -> float:
-    """Capacitance tuning an LC pickup to resonate at ``target_hz``."""
-    if target_hz <= 0 or inductance_h <= 0:
-        raise ValueError("target_hz and inductance_h must be positive")
-    return 1.0 / (4.0 * math.pi**2 * target_hz**2 * inductance_h)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,18 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_unknown_section_key_is_config_error(self, tmp_path, sensing_config, capsys):
+        code = main([
+            "simulate", "--config", str(sensing_config), "--seed", "7",
+            "--out", str(tmp_path / "x"), "--set", "motor.pole_cont=3",
+        ])
+        assert code == 2
+        assert "pole_cont" in capsys.readouterr().err
+
+    def test_trace_csv_has_lf_line_endings(self, tmp_path, sensing_config):
+        out = simulate(tmp_path, sensing_config)
+        assert b"\r" not in (out / "trace.csv").read_bytes()
+
     def test_set_overrides_nested_config(self, tmp_path, sensing_config):
         out = tmp_path / "quiet"
         code = main([
@@ -181,6 +193,17 @@ class TestEstimate:
         ])
         assert code == 2
 
+    def test_short_reference_row_is_io_error(self, tmp_path, sensing_config, capsys):
+        sim = simulate(tmp_path, sensing_config)
+        reference = tmp_path / "ref.csv"
+        reference.write_text("bin_index,magnitude\n0\n1,2.0\n")
+        code = main([
+            "estimate", "--trace", str(sim / "trace.csv"),
+            "--reference", str(reference), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        assert f"{reference}, line 2" in capsys.readouterr().err
+
     def test_missing_trace_is_io_error(self, tmp_path):
         code = main([
             "estimate", "--trace", str(tmp_path / "absent.csv"),
@@ -244,7 +267,7 @@ class TestDenoiseAndDetect:
         ])
         assert code == 0
         dmap = DetectionMap.load_csv(out / "detection.csv")
-        detected = dmap.detected_frequencies()
+        detected = dmap.bin_frequencies[dmap.binarize()]
         # the 50 Hz fundamental (or a neighborhood bin) must be flagged
         assert np.any(np.abs(detected - 50.0) <= 1.0)
 
@@ -308,11 +331,22 @@ class TestTrain:
 
     def test_unknown_key_is_config_error(self, tmp_path):
         samples = make_sample_dir(tmp_path)
+        for entry in ("optimizer=sgd", "network.dropout=0.1", "network=5"):
+            code = main([
+                "train", "--samples", str(samples), "--seed", "5",
+                "--out", str(tmp_path / "x"), "--set", entry,
+            ])
+            assert code == 2, entry
+
+    def test_sample_without_fundamental_is_io_error(self, tmp_path, capsys):
+        samples = make_sample_dir(tmp_path)
+        (samples / "sample_0001.json").write_text("{}\n")
         code = main([
             "train", "--samples", str(samples), "--seed", "5",
-            "--out", str(tmp_path / "x"), "--set", "optimizer=sgd",
+            "--out", str(tmp_path / "x"), *TINY_NET_SETS,
         ])
-        assert code == 2
+        assert code == 3
+        assert "sample_0001.json" in capsys.readouterr().err
 
     def test_missing_samples_dir_is_io_error(self, tmp_path):
         code = main([

@@ -83,7 +83,6 @@ class TestDetectionMap:
             bin_frequencies=np.array([0.0, 1.0, 2.0]),
         )
         np.testing.assert_array_equal(m.binarize(0.5), [False, True, True])
-        np.testing.assert_array_equal(m.detected_frequencies(0.5), [1.0, 2.0])
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -113,12 +112,6 @@ class TestDetectionMap:
                 probabilities=np.array([0.5, 0.5]),
                 bin_frequencies=np.array([0.0]),
             )
-
-    def test_delta_f(self):
-        m = DetectionMap(
-            probabilities=np.zeros(3), bin_frequencies=np.array([0.0, 2.0, 4.0])
-        )
-        assert m.delta_f == 2.0
 
 
 class TestThresholdDetector:

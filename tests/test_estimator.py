@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from magrev.estimator import (
     fine_estimate,
     fit_beta,
 )
+from magrev.sensor_io import write_table
 from magrev.signals import MotorProfile, NoiseProfile, SensorTrace, simulate_mixture
 
 from conftest import tone
@@ -38,12 +40,6 @@ class TestHarmonicWeights:
         np.testing.assert_allclose(beta.values, [1.0, 0.5, 1.0 / 3.0, 0.25])
         assert beta.m == 4
 
-    def test_save_load_roundtrip(self, tmp_path):
-        beta = HarmonicWeights(values=np.array([1.0, 0.3, 0.07]))
-        path = tmp_path / "beta.json"
-        beta.save(path)
-        np.testing.assert_array_equal(HarmonicWeights.load(path).values, beta.values)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HarmonicWeights(values=np.array([]))
@@ -56,7 +52,7 @@ class TestHarmonicWeights:
 class TestPipelineConfig:
     def test_dict_roundtrip(self):
         cfg = PipelineConfig(gamma=25, detector="network", weights_path="w.ppsp")
-        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert PipelineConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_validation(self):
         for bad in (
@@ -81,7 +77,7 @@ class TestSpeedEstimate:
             fine_hz=50.02, coarse_hz=50.0, rpm=3001.2, confidence=0.8,
             flags=("fallback",),
         )
-        assert SpeedEstimate.from_dict(est.to_dict()) == est
+        assert SpeedEstimate(**json.loads(json.dumps(asdict(est)))) == est
 
     def test_numpy_inputs_are_coerced(self):
         est = SpeedEstimate(
@@ -91,14 +87,18 @@ class TestSpeedEstimate:
             confidence=np.float64(1.0),
         )
         assert type(est.rpm) is float
-        assert "np.float64" not in est.csv_row()
+        assert all(type(v) is float for v in est.csv_row()[:4])
 
-    def test_csv_row_layout(self):
+    def test_csv_row_layout(self, tmp_path):
         est = SpeedEstimate(
             fine_hz=1.5, coarse_hz=1.0, rpm=90.0, confidence=0.5,
             flags=("a", "b"),
         )
-        assert est.csv_row() == "90.0,1.5,1.0,0.5,a;b"
+        path = tmp_path / "estimate.csv"
+        write_table(path, SpeedEstimate.CSV_HEADER, [est.csv_row()])
+        assert path.read_text() == (
+            "rpm,fine_hz,coarse_hz,confidence,flags\n90.0,1.5,1.0,0.5,a;b\n"
+        )
 
 
 class TestComputeLikelihood:

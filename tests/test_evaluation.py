@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from magrev.evaluation import (
     run_ser_map,
     spearman_rank_correlation,
 )
+
+from magrev.estimator import PipelineConfig
+from magrev.ppsp import PpspConfig, PpspWeights, init_weights
 
 from conftest import tone
 
@@ -144,12 +148,30 @@ class TestScenario:
 
     def test_dict_roundtrip(self):
         a = default_sweep_scenario(trials_per_cell=2, distances_cm=(5.0, 25.0))
-        back = SweepScenario.from_dict(a.to_dict())
+        back = SweepScenario(**json.loads(json.dumps(asdict(a))))
         assert back == a
         assert back.fingerprint() == a.fingerprint()
 
+    def test_fingerprint_is_pinned(self):
+        # meta.json and BenchResult carry it; a change orphans old results
+        assert SweepScenario().fingerprint() == "bb72fb091ebb4e46"
+
+    def test_json_lists_and_pipeline_dict_normalize(self):
+        a = SweepScenario(
+            distances_cm=[5, 25], sensor_positions_cm=[[-4, 0], [4, 0]],
+            pipeline={"gamma": 10},
+        )
+        assert a == SweepScenario(
+            distances_cm=(5.0, 25.0), sensor_positions_cm=((-4.0, 0.0), (4.0, 0.0)),
+            pipeline=PipelineConfig(gamma=10),
+        )
+        with pytest.raises(TypeError):
+            SweepScenario(pipeline={"gama": 10})
+        with pytest.raises(TypeError):
+            SweepScenario(pipeline=5)
+
     def test_json_safe(self):
-        blob = json.dumps(default_sweep_scenario().to_dict())
+        blob = json.dumps(asdict(default_sweep_scenario()))
         assert isinstance(blob, str)
 
 
@@ -201,7 +223,7 @@ class TestDistanceSweep:
             cells = line.split(",")
             assert len(cells) == 7
             float(cells[4])  # parses without numpy reprs
-        loaded = BenchResult.load_json(tmp_path / "summary.json")
+        loaded = BenchResult(**json.loads((tmp_path / "summary.json").read_text()))
         assert loaded.mean_error_pct == result.mean_error_pct
         assert loaded.fingerprint == result.fingerprint
         assert loaded.distances_cm == result.distances_cm
@@ -217,6 +239,29 @@ class TestDistanceSweep:
         assert result.mean_error_pct["pipeline"][0] < 0.1
         assert result.dropped["pipeline"] == 0
 
+    def test_network_weights_are_read_once_per_sweep(self, tmp_path, monkeypatch):
+        config = PpspConfig(
+            input_bins=32, encoder_levels=2, filters_per_conv=2,
+            multiscale_kernel_widths=(3,), pyramid_pool_kernels=(1, 2),
+        )
+        path = tmp_path / "net.ppsp"
+        init_weights(config).save(path)
+        loads = []
+        load = PpspWeights.load
+        monkeypatch.setattr(
+            PpspWeights, "load", lambda p: loads.append(p) or load(p)
+        )
+        scenario = tiny_scenario(
+            distances_cm=(5.0,),
+            speeds_rpm=(3000.0,),
+            trials_per_cell=3,
+            pipeline=PipelineConfig(
+                detector="network", weights_path=str(path), input_bins=32
+            ),
+        )
+        run_distance_sweep(scenario)
+        assert loads == [str(path)]
+
 
 class TestBenchResult:
     def test_roundtrip(self, tmp_path):
@@ -228,8 +273,8 @@ class TestBenchResult:
             scenario={"master_seed": 1},
         )
         path = tmp_path / "r.json"
-        result.save_json(path)
-        back = BenchResult.load_json(path)
+        path.write_text(json.dumps(asdict(result)))
+        back = BenchResult(**json.loads(path.read_text()))
         assert back == result
 
 

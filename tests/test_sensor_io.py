@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+from magrev.detector import (
+    DetectionMap,
+    TrainingSample,
+    load_training_set,
+    save_training_set,
+)
+from magrev.dsp import NoiseReference
 from magrev.sensor_io import (
     PCM_FULL_SCALE,
     load_sensing_config,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
+    read_table,
     save_sensing_config,
     save_trace_csv,
     save_trace_wav,
+    write_table,
 )
 from magrev.signals import (
     ArrayGeometry,
@@ -111,6 +120,120 @@ class TestCsv:
         with pytest.raises(ValueError, match="no samples"):
             load_trace_csv(path)
 
+    def test_crlf_file_in_old_layout_loads_identically(self, tmp_path):
+        # the LF comment line followed by CRLF rows that csv.writer produced
+        trace = small_trace(n_channels=2, n=5)
+        path = tmp_path / "old.csv"
+        rows = ["ch0,ch1"] + [f"{a!r},{b!r}" for a, b in trace.channels.T.tolist()]
+        path.write_bytes(("# fs_hz=8192.0\n" + "\r\n".join(rows) + "\r\n").encode())
+        back = load_trace_csv(path)
+        np.testing.assert_array_equal(back.channels, trace.channels)
+        assert back.sample_rate_hz == 8192.0
+
+
+def _sample(seed=0, n=8):
+    rng = np.random.default_rng(seed)
+    return TrainingSample(
+        features=rng.uniform(size=n),
+        mask=(rng.uniform(size=n) > 0.5).astype(float),
+        bin_frequencies=np.arange(n) * 0.5,
+        fundamental_hz=1.5,
+    )
+
+
+def _arrays(obj):
+    if isinstance(obj, list):
+        return [a for sample in obj for a in _arrays(sample)]
+    names = {
+        SensorTrace: ("channels",),
+        NoiseReference: ("magnitudes",),
+        DetectionMap: ("probabilities", "bin_frequencies"),
+        TrainingSample: ("features", "mask", "bin_frequencies"),
+    }[type(obj)]
+    return [getattr(obj, name) for name in names]
+
+
+# (make, save, load, file written) for every table format with a reader
+TABLE_FORMATS = {
+    "trace": (small_trace, save_trace_csv, load_trace_csv, None),
+    "noise_reference": (
+        lambda: NoiseReference(magnitudes=np.random.default_rng(1).uniform(size=9)),
+        NoiseReference.save_csv,
+        NoiseReference.load_csv,
+        None,
+    ),
+    "detection_map": (
+        lambda: DetectionMap(
+            probabilities=np.random.default_rng(2).uniform(size=7),
+            bin_frequencies=np.arange(7) * 0.73,
+        ),
+        DetectionMap.save_csv,
+        DetectionMap.load_csv,
+        None,
+    ),
+    "training_sample": (
+        lambda: [_sample(0), _sample(1)],
+        save_training_set,
+        load_training_set,
+        "sample_0001.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_FORMATS))
+class TestTableFormats:
+    def written(self, fmt, tmp_path):
+        make, save, load, name = TABLE_FORMATS[fmt]
+        obj = make()
+        target = tmp_path / ("dir" if name else "table.csv")
+        save(obj, target)
+        return obj, load, target, (target / name if name else target)
+
+    def test_written_with_lf_and_read_with_crlf(self, fmt, tmp_path):
+        obj, load, target, csv_path = self.written(fmt, tmp_path)
+        data = csv_path.read_bytes()
+        assert b"\r" not in data
+        csv_path.write_bytes(data.replace(b"\n", b"\r\n"))
+        got, want = _arrays(load(target)), _arrays(obj)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_short_row_error_names_file_and_line(self, fmt, tmp_path):
+        _, load, target, csv_path = self.written(fmt, tmp_path)
+        lines = csv_path.read_text().splitlines()
+        body = 2 if lines[0].startswith("#") else 1
+        lines[body] = lines[body].split(",")[0]
+        csv_path.write_text("\n".join(lines) + "\n")
+        message = rf"{csv_path.name}, line {body + 1}: 1 fields"
+        with pytest.raises(ValueError, match=message):
+            load(target)
+
+
+class TestTable:
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [(np.float64(0.1), np.int64(3), 7), ("x", 2.5, True)]
+        write_table(path, ("a", "b", "c"), rows)
+        assert path.read_text() == "a,b,c\n0.1,3.0,7\nx,2.5,True\n"
+
+    def test_separator_in_cell_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="line 2"):
+            write_table(tmp_path / "t.csv", ("a",), [("x,y",)])
+
+    def test_header_must_match_exactly(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# note\na,b\n1,2\n")
+        assert read_table(path, ("a", "b"))[0] == "note"
+        with pytest.raises(ValueError, match=r"t.csv, line 2: expected header 'b,a'"):
+            read_table(path, ("b", "a"))
+
+    def test_bad_number_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a\n1\n\nzero\n")
+        with pytest.raises(ValueError, match="t.csv, line 4"):
+            read_table(path, ("a",))
+
 
 class TestSensingConfig:
     def make_sections(self):
@@ -139,7 +262,7 @@ class TestSensingConfig:
         assert loaded["geometry"] == geometry
         assert loaded["noise"] == noise
         assert loaded["coil"] == coil
-        assert loaded["raw"]["motor"] == motor.to_dict()
+        assert MotorProfile(**loaded["raw"]["motor"]) == motor
 
     def test_multi_motor_roundtrip(self, tmp_path):
         motor, geometry, _, _ = self.make_sections()
@@ -167,6 +290,10 @@ class TestSensingConfig:
             parse_sensing_config(
                 {"noise": {"broadband_sigma": -1.0}}, source="my-setup"
             )
+
+    def test_unknown_section_key_rejected(self):
+        with pytest.raises(ValueError, match=r"'coil'.*turn_count"):
+            parse_sensing_config({"coil": {"turn_count": 10}})
 
     def test_invalid_json_error_names_file(self, tmp_path):
         path = tmp_path / "mangled.json"

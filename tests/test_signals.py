@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,10 +17,8 @@ from magrev.signals import (
     apply_path_loss,
     compute_ser,
     induce_voltage,
-    resonance_capacitance,
     simulate_array,
     simulate_mixture,
-    synthesize_field,
 )
 
 
@@ -50,7 +50,7 @@ class TestMotorProfile:
 
     def test_dict_roundtrip(self):
         p = make_profile(rpm=4321.0, dc_offset=0.2, position_cm=(1.0, -2.0))
-        q = MotorProfile.from_dict(p.to_dict())
+        q = MotorProfile(**json.loads(json.dumps(asdict(p))))
         assert q == p
 
     def test_at_position_moves_only_position(self):
@@ -68,20 +68,6 @@ class TestMotorProfile:
 
 
 class TestFieldAndVoltage:
-    def test_field_matches_cosine_sum(self):
-        p = MotorProfile(
-            period_s=0.02,
-            harmonics=[(1, 0.8, 0.3), (3, 0.2, 1.4)],
-            dc_offset=0.05,
-        )
-        fs, dur = 4096.0, 0.25
-        field = synthesize_field(p, dur, fs)
-        t = np.arange(int(dur * fs)) / fs
-        expected = 0.05 + 0.8 * np.cos(
-            2 * np.pi * t / 0.02 - 0.3
-        ) + 0.2 * np.cos(3 * 2 * np.pi * t / 0.02 - 1.4)
-        np.testing.assert_allclose(field, expected, rtol=0, atol=1e-12)
-
     def test_voltage_is_scaled_field_derivative(self):
         p = make_profile(rpm=1200.0)
         coil = CoilParams()
@@ -109,8 +95,6 @@ class TestFieldAndVoltage:
 
     def test_nyquist_guard(self):
         p = make_profile(rpm=60000.0)  # 3rd harmonic at 3 kHz
-        with pytest.raises(ValueError):
-            synthesize_field(p, 0.1, 4000.0)
         with pytest.raises(ValueError):
             induce_voltage(p, CoilParams(), 0.1, 4000.0)
 
@@ -287,13 +271,6 @@ class TestSer:
         z = np.zeros(64)
         with pytest.raises(ValueError):
             compute_ser(z, z, 0.0, 100.0)
-
-
-def test_resonance_capacitance_formula():
-    f, L = 120.0, 1.4
-    c = resonance_capacitance(f, L)
-    assert c == pytest.approx(1.0 / ((2 * np.pi * f) ** 2 * L), rel=1e-12)
-    assert 1.0 / (2 * np.pi * math.sqrt(L * c)) == pytest.approx(f, rel=1e-12)
 
 
 def test_noise_profile_silence_detection():
