@@ -27,7 +27,9 @@ density peak among them.  RPM is exactly ``60 * fine``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,6 +73,37 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+_INTEGER = ("an integer", _is_integer)
+_REAL = ("a finite real number", _is_finite_real)
+_STRING = ("a string", lambda value: isinstance(value, str))
+_PIPELINE_FIELD_TYPES = {
+    "welch_segment": _INTEGER,
+    "input_bins": _INTEGER,
+    "f_min_hz": _REAL,
+    "delta_f_hz": _REAL,
+    "n_support": _INTEGER,
+    "gamma": _INTEGER,
+    "detector": _STRING,
+    "threshold_quantile": _REAL,
+    "detection_threshold": _REAL,
+    "max_lag_s": _REAL,
+    "m_harmonics": _INTEGER,
+    "weights_path": _STRING,
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything the end-to-end estimator needs besides the trace itself."""
@@ -89,6 +122,15 @@ class PipelineConfig:
     weights_path: str | None = None
 
     def __post_init__(self):
+        # types first, so that every failure names its field and the range
+        # checks below compare numbers; a field whose default is None may be None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            kind, accepts = _PIPELINE_FIELD_TYPES[f.name]
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.f_min_hz <= 0:
             raise ValueError("f_min_hz must be positive")
         if self.delta_f_hz is not None and self.delta_f_hz <= 0:
@@ -453,6 +495,50 @@ def estimate_rpm(
     )[0]
 
 
+def _cleared_bins(
+    dmap: DetectionMap, fine_hz: float, delta_f: float, threshold: float
+) -> np.ndarray:
+    """Mask of the bins that clearing a pick at ``fine_hz`` zeroes.
+
+    Every multiple up to ``band_max + delta_f`` that lands in the band opens
+    a window of ``+/- delta_f``; each window then grows over the binarized
+    runs that touch its ends, so a leakage cluster dies whole.  Windows grow
+    independently against the same binarized map, so their union is taken
+    once, with a difference array.
+    """
+    freqs = dmap.bin_frequencies
+    n = freqs.size
+    r = _window_radius_bins(delta_f, _grid_spacing(freqs))
+    limit = float(freqs[-1]) + delta_f
+    if fine_hz > 0.0:
+        # the largest k with k * fine_hz <= limit, decided by the same float
+        # products that counting k up one at a time would test
+        orders = int(limit // fine_hz)
+        while (orders + 1) * fine_hz <= limit:
+            orders += 1
+        while orders > 0 and orders * fine_hz > limit:
+            orders -= 1
+    else:
+        orders = 1  # every multiple of a 0 Hz pick is the same bin
+    centres = _ladder(freqs, np.array([fine_hz]), orders)[0]
+    centres = centres[centres < n]
+    lo = np.maximum(centres - r, 0)
+    hi = np.minimum(centres + r + 1, n)
+    # first and one-past-last bin of the binarized run holding each bin
+    binary = dmap.binarize(threshold)
+    idx = np.arange(n)
+    opens = binary & ~np.concatenate(([False], binary[:-1]))
+    closes = binary & ~np.concatenate((binary[1:], [False]))
+    run_start = np.maximum.accumulate(np.where(opens, idx, 0))
+    run_stop = np.minimum.accumulate(np.where(closes, idx + 1, n)[::-1])[::-1]
+    left = np.maximum(lo - 1, 0)
+    lo = np.where((lo > 0) & binary[left], run_start[left], lo)
+    right = np.minimum(hi, n - 1)
+    hi = np.where((hi < n) & binary[right], run_stop[right], hi)
+    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    return depth[:n] > 0
+
+
 def estimate_rpm_multi(
     trace: SensorTrace,
     count: int,
@@ -525,24 +611,9 @@ def estimate_rpm_multi(
             break
         # clear the winner's harmonic evidence before the next pick; the
         # fine frequency tracks the true ladder where the coarse pick can
-        # sit a bin off, and each window grows over the contiguous
-        # binarized run so a leakage cluster dies whole
-        r = _window_radius_bins(delta_f, _grid_spacing(freqs))
-        binary = dmap.binarize(config.detection_threshold)
+        # sit a bin off
         probs = dmap.probabilities.copy()
-        band_max = float(freqs[-1])
-        orders = 0
-        while (orders + 1) * fine <= band_max + delta_f:
-            orders += 1
-        for mi in _ladder(freqs, np.array([fine]), orders)[0]:
-            if mi < freqs.size:
-                lo = max(0, mi - r)
-                hi = min(freqs.size, mi + r + 1)
-                while lo > 0 and binary[lo - 1]:
-                    lo -= 1
-                while hi < freqs.size and binary[hi]:
-                    hi += 1
-                probs[lo:hi] = 0.0
+        probs[_cleared_bins(dmap, fine, delta_f, config.detection_threshold)] = 0.0
         dmap = DetectionMap(probabilities=probs, bin_frequencies=freqs)
     if len(estimates) < count:
         estimates = [replace(e, flags=e.flags + ("harmonic_shortfall",)) for e in estimates]

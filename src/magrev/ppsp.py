@@ -12,6 +12,21 @@ Everything here is double precision and every backward pass is the exact
 analytic gradient of the forward pass, which the test suite verifies against
 central finite differences layer by layer and end to end through the dice
 loss.  No autograd framework is involved.
+
+Every convolution is one matrix product: the weights, reshaped to
+(C_out, C_in*K), times the im2col columns of the zero-padded input, a
+(C_in*K, B*L) copy of its sliding windows with the batch side by side.
+
+Inference also folds encoder levels.  A level's branch convolutions and its
+width-1 projection have no nonlinearity between them, so they equal one
+convolution as wide as the widest branch, with weights sum_i P_i W_i (each
+branch centred and zero-padded) and bias P b + b_proj.  A level is folded
+when that saves more multiply-adds than building the folded kernel costs,
+counted from the array shapes (see ``_fold_pays``); at batch 1 the
+full-size network folds levels 0-3.  The fold is rebuilt on every call,
+because the weights are mutable, and training never folds, because the
+backward pass needs the branch outputs.  Folded and unfolded outputs differ
+only by floating-point rounding.
 """
 
 from __future__ import annotations
@@ -101,13 +116,26 @@ class PpspConfig:
 # ---------------------------------------------------------------------------
 
 
-def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded 1-D convolution.  x: (B, C_in, L), w: (C_out, C_in, K)."""
-    k = w.shape[2]
+def _columns(x: np.ndarray, k: int) -> np.ndarray:
+    """im2col for a same-padded width-``k`` convolution: (B, C, L) becomes
+    (C*k, B*L), row ``c*k + j`` holding channel ``c`` shifted by
+    ``j - (k-1)/2`` with zeros past either end, the batch items side by side."""
+    b, c, length = x.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    windows = sliding_window_view(xp, k, axis=2)  # (B, C_in, L, K)
-    return np.einsum("bclk,ock->bol", windows, w, optimize=True) + b[None, :, None]
+    xp = np.zeros((b, c, length + 2 * pad), dtype=x.dtype)  # np.pad costs more per call
+    xp[:, :, pad : pad + length] = x
+    windows = sliding_window_view(xp, k, axis=2)  # (B, C, L, K)
+    return windows.transpose(1, 3, 0, 2).reshape(c * k, b * length)
+
+
+def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padded 1-D convolution as one matrix product over the whole
+    batch.  x: (B, C_in, L), w: (C_out, C_in, K).  The result is a
+    (B, C_out, L) view of a channel-major array, a layout whose channel
+    slices the backward einsums read without copying."""
+    batch, _, length = x.shape
+    out = w.reshape(w.shape[0], -1) @ _columns(x, w.shape[2]) + b[:, None]
+    return out.reshape(-1, batch, length).transpose(1, 0, 2)
 
 
 def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -204,11 +232,18 @@ def resize_forward(x: np.ndarray, l_out: int) -> np.ndarray:
 def resize_backward(dy: np.ndarray, l_in: int) -> np.ndarray:
     b, c, l_out = dy.shape
     i0, i1, w0, w1 = _resize_table(l_in, l_out)
-    flat = np.zeros((b * c, l_in), dtype=dy.dtype)
     dyf = dy.reshape(b * c, l_out)
-    rows = np.arange(b * c)[:, None]
-    np.add.at(flat, (rows, i0[None, :]), dyf * w0)
-    np.add.at(flat, (rows, i1[None, :]), dyf * w1)
+    rows = np.arange(b * c)[:, None] * l_in
+    # one scatter-add, every w0 term before every w1 term: the same per-bin
+    # summation order as two passes of np.add.at; both halves are written in
+    # place, so no temporary outgrows the old per-pass products
+    index = np.empty((2, b * c, l_out), dtype=np.intp)
+    np.add(rows, i0, out=index[0])
+    np.add(rows, i1, out=index[1])
+    terms = np.empty((2, b * c, l_out))
+    np.multiply(dyf, w0, out=terms[0])
+    np.multiply(dyf, w1, out=terms[1])
+    flat = np.bincount(index.ravel(), weights=terms.ravel(), minlength=b * c * l_in)
     return flat.reshape(b, c, l_in)
 
 
@@ -404,6 +439,38 @@ def init_weights(config: PpspConfig) -> PpspWeights:
 # ---------------------------------------------------------------------------
 
 
+def _fold_pays(batch: int, length: int, c_in: int, f: int, widths: tuple[int, ...]) -> bool:
+    """True when folding an encoder level saves more multiply-adds than
+    building the folded kernel costs.  Unfolded, the level takes
+    ``B*L*f*(C_in*sum(widths) + n*f)`` (n branches, then the projection);
+    folded, ``B*L*f*C_in*max(widths)``; the fold itself takes
+    ``f*f*C_in*sum(widths)``."""
+    saved = batch * length * f * (c_in * sum(widths) + len(widths) * f - max(widths) * c_in)
+    return saved > f * f * c_in * sum(widths)
+
+
+def _fold_level(
+    p: dict[str, np.ndarray], level: int, widths: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias of the one convolution that equals an encoder level's
+    branch convolutions followed by its width-1 projection (no nonlinearity
+    lies between them): sum_i P_i W_i, each branch centred and zero-padded
+    to the widest branch, with bias P b + b_proj."""
+    proj = p[f"enc{level}.project.weight"][:, :, 0]  # (f, n*f)
+    f = proj.shape[0]
+    k = max(widths)
+    c_in = p[f"enc{level}.branch{widths[0]}.weight"].shape[1]
+    weight = np.zeros((f, c_in, k))
+    for i, w in enumerate(widths):
+        branch = p[f"enc{level}.branch{w}.weight"].reshape(f, c_in * w)
+        off = (k - w) // 2
+        weight[:, :, off : off + w] += (proj[:, i * f : (i + 1) * f] @ branch).reshape(
+            f, c_in, w
+        )
+    bias = proj @ np.concatenate([p[f"enc{level}.branch{w}.bias"] for w in widths])
+    return weight, bias + p[f"enc{level}.project.bias"]
+
+
 def _forward(
     x: np.ndarray,
     weights: PpspWeights,
@@ -425,13 +492,21 @@ def _forward(
     cur = x
     for level in range(cfg.encoder_levels):
         saves[f"enc{level}.in"] = cur
-        branches = [
-            conv1d_forward(cur, p[f"enc{level}.branch{w}.weight"], p[f"enc{level}.branch{w}.bias"])
-            for w in widths
-        ]
-        cat = np.concatenate(branches, axis=1)
-        saves[f"enc{level}.cat"] = cat
-        proj = conv1d_forward(cat, p[f"enc{level}.project.weight"], p[f"enc{level}.project.bias"])
+        batch, c_in, length = cur.shape
+        if not train and _fold_pays(batch, length, c_in, f, widths):
+            proj = conv1d_forward(cur, *_fold_level(p, level, widths))
+        else:
+            branches = [
+                conv1d_forward(
+                    cur, p[f"enc{level}.branch{w}.weight"], p[f"enc{level}.branch{w}.bias"]
+                )
+                for w in widths
+            ]
+            cat = np.concatenate(branches, axis=1)
+            saves[f"enc{level}.cat"] = cat
+            proj = conv1d_forward(
+                cat, p[f"enc{level}.project.weight"], p[f"enc{level}.project.bias"]
+            )
         saves[f"enc{level}.proj"] = proj
         skip = relu_forward(proj)
         saves[f"enc{level}.skip"] = skip

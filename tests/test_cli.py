@@ -193,6 +193,27 @@ class TestEstimate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ("input_bins=100.5", "input_bins"),
+            ('max_lag_s="abc"', "max_lag_s"),
+            ("gamma=true", "gamma"),
+            ("gamma=2.5", "gamma"),
+        ],
+    )
+    def test_mistyped_pipeline_value_is_config_error(
+        self, tmp_path, sensing_config, capsys, entry, field
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        capsys.readouterr()
+        code = main([
+            "estimate", "--trace", str(sim / "trace.csv"),
+            "--out", str(tmp_path / "x"), "--set", entry,
+        ])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_short_reference_row_is_io_error(self, tmp_path, sensing_config, capsys):
         sim = simulate(tmp_path, sensing_config)
         reference = tmp_path / "ref.csv"

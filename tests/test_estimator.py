@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,31 @@ class TestPipelineConfig:
         ):
             with pytest.raises(ValueError):
                 PipelineConfig(**bad)
+
+    def test_types_are_checked_and_named(self):
+        for bad in (
+            dict(welch_segment=512.0),
+            dict(input_bins="1024"),
+            dict(n_support=True),
+            dict(gamma=2.5),
+            dict(m_harmonics=None),
+            dict(f_min_hz="5"),
+            dict(delta_f_hz=False),
+            dict(threshold_quantile=float("nan")),
+            dict(detection_threshold=None),
+            dict(max_lag_s=float("inf")),
+            dict(detector=1),
+            dict(weights_path=Path("w.ppsp")),
+        ):
+            (name,) = bad
+            with pytest.raises(ValueError, match=name):
+                PipelineConfig(**bad)
+
+    def test_numpy_scalars_and_ints_for_floats_are_accepted(self):
+        cfg = PipelineConfig(
+            welch_segment=np.int64(512), gamma=np.int32(5), f_min_hz=5, max_lag_s=np.float64(0.0)
+        )
+        assert cfg.welch_segment == 512 and cfg.f_min_hz == 5
 
 
 class TestSpeedEstimate:
@@ -400,6 +426,16 @@ class TestEstimateRpmMulti:
         assert estimate_rpm_multi(trace, 1, config) == [single]
         assert single.confidence == 0.0
         assert single.flags == ("low_confidence",)
+
+    def test_zero_hz_first_pick_still_reaches_the_second(self):
+        # a DC offset with gamma=1 and a window wider than the coarse pick:
+        # the fine stage lands on 0 Hz, whose multiples never pass the band
+        # edge; clearing must take its one window and go on
+        rng = np.random.default_rng(0)
+        trace = SensorTrace(1.0 + 1e-3 * rng.normal(size=(2, 8192)), 8192.0)
+        picks = estimate_rpm_multi(trace, 2, PipelineConfig(delta_f_hz=10.0, gamma=1))
+        assert picks[0].fine_hz == 0.0
+        assert len(picks) == 2
 
 
 class TestOneStagedPath:

@@ -1,9 +1,13 @@
-"""The array-based coarse stage, the zoomed fine stage and the multi-motor
-path against plain-loop reference implementations, kept here as oracles.
+"""The array-based coarse stage, the zoomed fine stage, the multi-motor path
+and the PPSP inference pass against plain reference implementations, kept
+here as oracles.
 
-The oracles are the straightforward per-candidate, per-harmonic loops and the
-fully zero-padded Welch transform.  The library must match them bit for bit:
-scores, picks, flags and the returned frequencies.
+The oracles are the straightforward per-candidate, per-harmonic loops, the
+fully zero-padded Welch transform, the bin-by-bin clearing walk, the
+``np.add.at`` resize gradient and the unfolded network on an ``einsum``
+convolution.  The library must match the estimator oracles bit for bit:
+scores, picks, flags, cleared maps and the returned frequencies.  The folded
+network sums in another order, so it must match its oracle within 1e-12.
 """
 
 import math
@@ -24,6 +28,7 @@ from magrev.dsp import (
 from magrev.estimator import (
     HarmonicWeights,
     PipelineConfig,
+    _cleared_bins,
     coarse_estimate,
     compute_likelihood,
     default_harmonic_weights,
@@ -31,6 +36,21 @@ from magrev.estimator import (
     estimate_rpm_multi,
     fine_estimate,
     fit_beta,
+)
+from magrev.ppsp import (
+    PpspConfig,
+    _fold_pays,
+    _resize_table,
+    avgpool_forward,
+    batchnorm_forward_eval,
+    conv1d_forward,
+    init_weights,
+    maxpool_forward,
+    ppsp_forward,
+    relu_forward,
+    resize_backward,
+    resize_forward,
+    sigmoid_forward,
 )
 from magrev.signals import (
     ArrayGeometry,
@@ -113,6 +133,27 @@ def padded_fine(signal, fs, coarse_hz, segment_len, gamma, delta_f):
     return float(spec.frequencies[sel[int(np.argmax(spec.densities[sel]))]])
 
 
+def loop_clear(probs, freqs, fine, delta_f, threshold):
+    """Zero the +/- delta_f window of every multiple of ``fine`` up to the
+    band edge plus delta_f, each grown bin by bin over the binarized runs
+    that touch its ends."""
+    r = max(0, int(round(delta_f / (freqs[1] - freqs[0]))))
+    binary = probs >= threshold
+    out = probs.copy()
+    k = 1
+    while k * fine <= float(freqs[-1]) + delta_f:
+        mi = loop_multiple_index(freqs, k * fine)
+        if mi is not None:
+            lo, hi = max(0, mi - r), min(freqs.size, mi + r + 1)
+            while lo > 0 and binary[lo - 1]:
+                lo -= 1
+            while hi < freqs.size and binary[hi]:
+                hi += 1
+            out[lo:hi] = 0.0
+        k += 1
+    return out
+
+
 def loop_multi(trace, count, config):
     """The multi-motor path written with the oracles above."""
     fs = trace.sample_rate_hz
@@ -133,7 +174,6 @@ def loop_multi(trace, count, config):
     freqs = dmap.bin_frequencies
     spacing = float(freqs[1] - freqs[0])
     delta_f = spacing if config.delta_f_hz is None else config.delta_f_hz
-    r = max(0, int(round(delta_f / spacing)))
     probs = dmap.probabilities.copy()
     picks = []
     for pick in range(count):
@@ -155,21 +195,67 @@ def loop_multi(trace, count, config):
             best, flags = int(np.argmax(np.where(keep, scores, -np.inf))), ()
         fine = padded_fine(enhanced, fs, float(cands[best]), segment, config.gamma, delta_f)
         picks.append((60.0 * fine, float(cands[best]), flags))
-        binary = probs >= config.detection_threshold
-        k = 1
-        while k * fine <= float(freqs[-1]) + delta_f:
-            mi = loop_multiple_index(freqs, k * fine)
-            if mi is not None:
-                lo, hi = max(0, mi - r), min(freqs.size, mi + r + 1)
-                while lo > 0 and binary[lo - 1]:
-                    lo -= 1
-                while hi < freqs.size and binary[hi]:
-                    hi += 1
-                probs[lo:hi] = 0.0
-            k += 1
+        probs = loop_clear(probs, freqs, fine, delta_f, config.detection_threshold)
     if len(picks) < count:
         picks = [(rpm, coarse, flags + ("harmonic_shortfall",)) for rpm, coarse, flags in picks]
     return picks
+
+
+def einsum_conv(x, w, b):
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    return np.einsum("bclk,ock->bol", windows, w, optimize=True) + b[None, :, None]
+
+
+def einsum_forward(spectra, weights):
+    """Inference pass of the unfolded network: every branch, projection and
+    decoder convolution on its own, each an einsum over the windows."""
+    cfg, p = weights.config, weights.params
+    cur = spectra[:, None, :]
+    skips = []
+    for level in range(cfg.encoder_levels):
+        cat = np.concatenate(
+            [
+                einsum_conv(
+                    cur, p[f"enc{level}.branch{w}.weight"], p[f"enc{level}.branch{w}.bias"]
+                )
+                for w in cfg.multiscale_kernel_widths
+            ],
+            axis=1,
+        )
+        proj = einsum_conv(cat, p[f"enc{level}.project.weight"], p[f"enc{level}.project.bias"])
+        skips.append(relu_forward(proj))
+        cur, _ = maxpool_forward(skips[-1], cfg.pool_kernel)
+    for level in reversed(range(cfg.encoder_levels)):
+        up = resize_forward(cur, cur.shape[2] * cfg.pool_kernel)
+        cat = np.concatenate([up, skips[level]], axis=1)
+        cur = relu_forward(
+            einsum_conv(cat, p[f"dec{level}.conv.weight"], p[f"dec{level}.conv.bias"])
+        )
+    feats = [cur]
+    for m in cfg.pyramid_pool_kernels:
+        pooled = avgpool_forward(cur, m)
+        proj = einsum_conv(pooled, p[f"pyr{m}.conv.weight"], p[f"pyr{m}.conv.bias"])
+        feats.append(resize_forward(proj, cfg.input_bins))
+    z = einsum_conv(np.concatenate(feats, axis=1), p["head.conv.weight"], p["head.conv.bias"])
+    bn = batchnorm_forward_eval(
+        z, p["head.bn.gamma"], p["head.bn.beta"], weights.bn_state["head.bn.running_mean"],
+        weights.bn_state["head.bn.running_var"], cfg.bn_eps,
+    )
+    return sigmoid_forward(bn)[:, 0, :]
+
+
+def add_at_resize_backward(dy, l_in):
+    b, c, l_out = dy.shape
+    i0, i1, w0, w1 = _resize_table(l_in, l_out)
+    flat = np.zeros((b * c, l_in))
+    dyf = dy.reshape(b * c, l_out)
+    rows = np.arange(b * c)[:, None]
+    np.add.at(flat, (rows, i0[None, :]), dyf * w0)
+    np.add.at(flat, (rows, i1[None, :]), dyf * w1)
+    return flat.reshape(b, c, l_in)
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +419,121 @@ class TestPipelineAgainstLoops:
                 (e.rpm, e.coarse_hz, e.flags) for e in estimate_rpm_multi(trace, 3, config)
             ]
             assert got == loop_multi(trace, 3, config)
+
+
+class TestClearingAgainstLoop:
+    def test_cleared_maps_equal_the_bin_walk(self):
+        rng = np.random.default_rng(57)
+        kinds = set()
+        for trial in range(300):
+            n = int(rng.integers(8, 300))
+            spacing = float(rng.choice([1.0, 0.37, 2.0 / 3.0]))
+            freqs = float(rng.choice([0.0, 0.5, 1.3])) + np.arange(n) * spacing
+            kind = trial % 4
+            if kind == 0:  # everything flagged, as from an untrained network
+                probs = rng.uniform(0.5, 1.0, size=n)
+            elif kind == 1:  # sparse runs, with runs touching both ends
+                probs = rng.choice([0.0, 0.2, 0.7, 1.0], size=n, p=[0.5, 0.2, 0.15, 0.15])
+                probs[: int(rng.integers(1, 4))] = 0.9
+                probs[-int(rng.integers(1, 4)) :] = 0.9
+            elif kind == 2:  # nothing flagged
+                probs = rng.uniform(0.0, 0.49, size=n)
+            else:
+                probs = rng.uniform(0.0, 1.0, size=n) ** 2
+            # r = 0 (delta_f under half a bin) up to a wide window
+            delta_f = float(rng.choice([0.3, 1.0, 2.6, 7.0])) * spacing
+            band_max = float(freqs[-1])
+            fine = float(
+                rng.choice(
+                    [
+                        rng.uniform(freqs[1], band_max / 2),
+                        freqs[int(rng.integers(1, n))],
+                        (band_max + delta_f) / int(rng.integers(1, 6)),
+                        rng.uniform(band_max / 2, band_max + delta_f),
+                    ]
+                )
+            )
+            dmap = DetectionMap(probabilities=probs, bin_frequencies=freqs)
+            got = probs.copy()
+            got[_cleared_bins(dmap, fine, delta_f, 0.5)] = 0.0
+            np.testing.assert_array_equal(got, loop_clear(probs, freqs, fine, delta_f, 0.5))
+            kinds.add((kind, delta_f < spacing / 2))
+        assert len(kinds) == 8
+
+    def test_zero_hz_pick_clears_its_one_window(self):
+        freqs = np.arange(40.0)
+        probs = np.zeros(40)
+        probs[[0, 1, 2, 10, 20]] = 1.0
+        dmap = DetectionMap(probabilities=probs, bin_frequencies=freqs)
+        cleared = _cleared_bins(dmap, 0.0, 1.0, 0.5)
+        np.testing.assert_array_equal(np.flatnonzero(cleared), [0, 1, 2])
+
+
+class TestResizeBackwardAgainstAddAt:
+    @pytest.mark.parametrize(
+        "shape, l_in", [((8, 64, 1024), 512), ((3, 5, 7), 3), ((2, 4, 32), 1), ((1, 1, 2), 2)]
+    )
+    def test_bit_equal(self, shape, l_in):
+        dy = np.random.default_rng(sum(shape) + l_in).normal(size=shape)
+        np.testing.assert_array_equal(
+            resize_backward(dy, l_in), add_at_resize_backward(dy, l_in)
+        )
+
+
+class TestPpspForwardAgainstUnfoldedEinsum:
+    def test_conv_matches_einsum(self):
+        rng = np.random.default_rng(5)
+        for batch, c_in, c_out, k, length in [(1, 1, 64, 15, 1024), (3, 128, 64, 3, 64), (2, 5, 3, 1, 9)]:
+            x = rng.normal(size=(batch, c_in, length))
+            w = rng.normal(size=(c_out, c_in, k))
+            b = rng.normal(size=c_out)
+            np.testing.assert_allclose(
+                conv1d_forward(x, w, b), einsum_conv(x, w, b), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "config, batch, folded",
+        [
+            (PpspConfig(), 1, [True] * 4 + [False] * 5),
+            (PpspConfig(), 3, [True] * 5 + [False] * 4),
+            (
+                PpspConfig(
+                    input_bins=32, encoder_levels=3, filters_per_conv=8,
+                    multiscale_kernel_widths=(3, 5, 7), seed=2,
+                ),
+                1,
+                [True, True, False],
+            ),
+            (
+                PpspConfig(
+                    input_bins=32, encoder_levels=3, filters_per_conv=8,
+                    multiscale_kernel_widths=(3, 5, 7), seed=2,
+                ),
+                3,
+                [True, True, True],
+            ),
+        ],
+    )
+    def test_forward_within_1e12(self, config, batch, folded):
+        f, widths = config.filters_per_conv, config.multiscale_kernel_widths
+        pattern = [
+            _fold_pays(
+                batch, config.input_bins // config.pool_kernel**level,
+                1 if level == 0 else f, f, widths,
+            )
+            for level in range(config.encoder_levels)
+        ]
+        assert pattern == folded
+        weights = init_weights(config)
+        rng = np.random.default_rng(batch)
+        # non-zero biases and batch-norm statistics, so the folded bias counts
+        for name, value in weights.params.items():
+            if name.endswith(".bias"):
+                weights.params[name] = rng.normal(scale=0.1, size=value.shape)
+        weights.bn_state["head.bn.running_mean"] = np.array([0.05])
+        weights.bn_state["head.bn.running_var"] = np.array([0.5])
+        spectra = rng.uniform(size=(batch, config.input_bins))
+        np.testing.assert_allclose(
+            ppsp_forward(spectra, weights), einsum_forward(spectra, weights),
+            rtol=0.0, atol=1e-12,
+        )
