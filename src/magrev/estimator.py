@@ -27,9 +27,7 @@ density peak among them.  RPM is exactly ``60 * fine``.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,7 +42,7 @@ from .dsp import (
     welch_psd,
     welch_zoom,
 )
-from .ppsp import PpspWeights
+from .ppsp import INTEGER, REAL, PpspWeights, check_field_types
 from .signals import SensorTrace
 
 __all__ = [
@@ -73,33 +71,19 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-_INTEGER = ("an integer", _is_integer)
-_REAL = ("a finite real number", _is_finite_real)
 _STRING = ("a string", lambda value: isinstance(value, str))
 _PIPELINE_FIELD_TYPES = {
-    "welch_segment": _INTEGER,
-    "input_bins": _INTEGER,
-    "f_min_hz": _REAL,
-    "delta_f_hz": _REAL,
-    "n_support": _INTEGER,
-    "gamma": _INTEGER,
+    "welch_segment": INTEGER,
+    "input_bins": INTEGER,
+    "f_min_hz": REAL,
+    "delta_f_hz": REAL,
+    "n_support": INTEGER,
+    "gamma": INTEGER,
     "detector": _STRING,
-    "threshold_quantile": _REAL,
-    "detection_threshold": _REAL,
-    "max_lag_s": _REAL,
-    "m_harmonics": _INTEGER,
+    "threshold_quantile": REAL,
+    "detection_threshold": REAL,
+    "max_lag_s": REAL,
+    "m_harmonics": INTEGER,
     "weights_path": _STRING,
 }
 
@@ -122,15 +106,7 @@ class PipelineConfig:
     weights_path: str | None = None
 
     def __post_init__(self):
-        # types first, so that every failure names its field and the range
-        # checks below compare numbers; a field whose default is None may be None
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            kind, accepts = _PIPELINE_FIELD_TYPES[f.name]
-            if not accepts(value):
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self, _PIPELINE_FIELD_TYPES)
         if self.f_min_hz <= 0:
             raise ValueError("f_min_hz must be positive")
         if self.delta_f_hz is not None and self.delta_f_hz <= 0:

@@ -15,18 +15,23 @@ loss.  No autograd framework is involved.
 
 Every convolution is one matrix product: the weights, reshaped to
 (C_out, C_in*K), times the im2col columns of the zero-padded input, a
-(C_in*K, B*L) copy of its sliding windows with the batch side by side.
+(C_in*K, B*L) copy of its sliding windows with the batch side by side.  Its
+backward pass is two more over the same columns: the weight gradient, and
+the column gradient that col2im sums back onto the input.
 
-Inference also folds encoder levels.  A level's branch convolutions and its
-width-1 projection have no nonlinearity between them, so they equal one
-convolution as wide as the widest branch, with weights sum_i P_i W_i (each
-branch centred and zero-padded) and bias P b + b_proj.  A level is folded
-when that saves more multiply-adds than building the folded kernel costs,
-counted from the array shapes (see ``_fold_pays``); at batch 1 the
-full-size network folds levels 0-3.  The fold is rebuilt on every call,
-because the weights are mutable, and training never folds, because the
-backward pass needs the branch outputs.  Folded and unfolded outputs differ
-only by floating-point rounding.
+Both inference and training fold encoder levels.  A level's branch
+convolutions and its width-1 projection have no nonlinearity between them,
+so they equal one convolution as wide as the widest branch, with weights
+sum_i P_i W_i (each branch centred and zero-padded) and bias P b + b_proj.
+A level is folded when that saves more multiply-adds than building the
+folded kernel costs, counted from the array shapes (see ``_fold_pays``); the
+full-size network folds levels 0-3 at batch 1 and levels 0-6 at batch 8.
+The loss is the same function of the parameters either way, so training
+takes the gradients of the folded kernel and carries them through the fold
+to the branches and the projection by the chain rule
+(``_fold_level_backward``).  The fold is rebuilt on every call, because the
+weights are mutable.  Folded and unfolded outputs and gradients differ only
+by floating-point rounding.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +57,40 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch} (loss={loss})")
         self.epoch = epoch
         self.loss = loss
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+INTEGER = ("an integer", _is_integer)
+REAL = ("a finite real number", _is_finite_real)
+INTEGERS = (
+    "a list of integers",
+    lambda value: isinstance(value, (tuple, list)) and all(map(_is_integer, value)),
+)
+
+
+def check_field_types(config, kinds: dict) -> None:
+    """Raise a ValueError naming the first field of the dataclass ``config``
+    whose value is not of its kind; ``kinds`` maps each field name to a
+    (description, predicate) pair.  A field whose default is None may be
+    None.  Run this before any range check, so that those compare numbers."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None and f.default is None:
+            continue
+        kind, accepts = kinds[f.name]
+        if not accepts(value):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +111,7 @@ class PpspConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        check_field_types(self, _PPSP_FIELD_TYPES)
         object.__setattr__(
             self, "multiscale_kernel_widths", tuple(self.multiscale_kernel_widths)
         )
@@ -97,6 +138,10 @@ class PpspConfig:
         for m in self.pyramid_pool_kernels:
             if m < 1 or self.input_bins % m != 0:
                 raise ValueError("pyramid kernels must divide input_bins")
+        if self.pyramid_reduced_filters is not None and self.pyramid_reduced_filters < 1:
+            raise ValueError("pyramid_reduced_filters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.bn_momentum <= 1.0:
             raise ValueError("bn_momentum must be in (0, 1]")
         if self.bn_eps <= 0:
@@ -105,10 +150,23 @@ class PpspConfig:
     @property
     def reduced_filters(self) -> int:
         if self.pyramid_reduced_filters is not None:
-            if self.pyramid_reduced_filters < 1:
-                raise ValueError("pyramid_reduced_filters must be >= 1")
             return self.pyramid_reduced_filters
         return max(1, self.filters_per_conv // 4)
+
+
+_PPSP_FIELD_TYPES = {
+    "input_bins": INTEGER,
+    "encoder_levels": INTEGER,
+    "filters_per_conv": INTEGER,
+    "conv_kernel": INTEGER,
+    "pool_kernel": INTEGER,
+    "multiscale_kernel_widths": INTEGERS,
+    "pyramid_pool_kernels": INTEGERS,
+    "pyramid_reduced_filters": INTEGER,
+    "seed": INTEGER,
+    "bn_momentum": REAL,
+    "bn_eps": REAL,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +189,34 @@ def _columns(x: np.ndarray, k: int) -> np.ndarray:
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padded 1-D convolution as one matrix product over the whole
     batch.  x: (B, C_in, L), w: (C_out, C_in, K).  The result is a
-    (B, C_out, L) view of a channel-major array, a layout whose channel
-    slices the backward einsums read without copying."""
+    (B, C_out, L) view of a channel-major array, the (C_out, B*L) layout
+    in which conv1d_backward reads output gradients without copying."""
     batch, _, length = x.shape
     out = w.reshape(w.shape[0], -1) @ _columns(x, w.shape[2]) + b[:, None]
     return out.reshape(-1, batch, length).transpose(1, 0, 2)
 
 
 def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of conv1d_forward.  Returns (dx, dw, db)."""
-    k = w.shape[2]
-    pad = (k - 1) // 2
-    length = x.shape[2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    windows = sliding_window_view(xp, k, axis=2)
-    dw = np.einsum("bol,bclk->ock", dy, windows, optimize=True)
-    db = dy.sum(axis=(0, 2))
-    dxp = np.zeros_like(xp)
-    for d in range(k):
-        dxp[:, :, d : d + length] += np.einsum(
-            "bol,oc->bcl", dy, w[:, :, d], optimize=True
-        )
-    dx = dxp[:, :, pad : pad + length] if pad else dxp
-    return dx, dw, db
+    """Gradients of conv1d_forward as two matrix products over the same
+    im2col columns.  With dy laid out as (C_out, B*L): dw = dy @ columns.T,
+    and the column gradient w.T @ dy, whose K row blocks are summed back
+    onto the shifted positions of the padded input (col2im).  Returns
+    (dx, dw, db); dx is a (B, C_in, L) view of a channel-major array."""
+    batch, c_in, length = x.shape
+    c_out, _, k = w.shape
+    dy2 = dy.transpose(1, 0, 2).reshape(c_out, batch * length)
+    dw = (dy2 @ _columns(x, k).T).reshape(w.shape)
+    db = dy2.sum(axis=1)
+    dcols = (w.reshape(c_out, -1).T @ dy2).reshape(c_in, k, batch, length)
+    if k == 1:
+        dx = dcols[:, 0]
+    else:
+        pad = (k - 1) // 2
+        dxp = np.zeros((c_in, batch, length + 2 * pad))
+        for j in range(k):
+            dxp[:, :, j : j + length] += dcols[:, j]
+        dx = dxp[:, :, pad : pad + length]
+    return dx.transpose(1, 0, 2), dw, db
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -444,7 +507,9 @@ def _fold_pays(batch: int, length: int, c_in: int, f: int, widths: tuple[int, ..
     building the folded kernel costs.  Unfolded, the level takes
     ``B*L*f*(C_in*sum(widths) + n*f)`` (n branches, then the projection);
     folded, ``B*L*f*C_in*max(widths)``; the fold itself takes
-    ``f*f*C_in*sum(widths)``."""
+    ``f*f*C_in*sum(widths)``.  The same rule holds for a training step,
+    whose backward pass costs each side twice over again: two products per
+    convolution, and two per branch to carry gradients through the fold."""
     saved = batch * length * f * (c_in * sum(widths) + len(widths) * f - max(widths) * c_in)
     return saved > f * f * c_in * sum(widths)
 
@@ -471,6 +536,37 @@ def _fold_level(
     return weight, bias + p[f"enc{level}.project.bias"]
 
 
+def _fold_level_backward(
+    p: dict[str, np.ndarray],
+    level: int,
+    widths: tuple[int, ...],
+    d_weight: np.ndarray,
+    d_bias: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Gradients of an encoder level's branch and projection parameters from
+    the gradients (d_weight, d_bias) of its folded convolution, by the chain
+    rule through ``_fold_level``: with F = sum_i P_i W_i over branch i's
+    centred taps and c = P b + b_proj, dW_i = P_i^T dF[taps i],
+    db_i = P_i^T dc, dP_i = dF[taps i] W_i^T + dc b_i^T and db_proj = dc."""
+    proj = p[f"enc{level}.project.weight"][:, :, 0]  # (f, n*f)
+    f, c_in, k = d_weight.shape
+    d_proj = np.empty_like(proj)
+    grads = {}
+    for i, w in enumerate(widths):
+        name = f"enc{level}.branch{w}"
+        off = (k - w) // 2
+        taps = d_weight[:, :, off : off + w].reshape(f, c_in * w)
+        p_i = proj[:, i * f : (i + 1) * f]
+        grads[f"{name}.weight"] = (p_i.T @ taps).reshape(f, c_in, w)
+        grads[f"{name}.bias"] = p_i.T @ d_bias
+        d_proj[:, i * f : (i + 1) * f] = taps @ p[f"{name}.weight"].reshape(
+            f, c_in * w
+        ).T + np.outer(d_bias, p[f"{name}.bias"])
+    grads[f"enc{level}.project.weight"] = d_proj[:, :, None]
+    grads[f"enc{level}.project.bias"] = d_bias
+    return grads
+
+
 def _forward(
     x: np.ndarray,
     weights: PpspWeights,
@@ -493,8 +589,10 @@ def _forward(
     for level in range(cfg.encoder_levels):
         saves[f"enc{level}.in"] = cur
         batch, c_in, length = cur.shape
-        if not train and _fold_pays(batch, length, c_in, f, widths):
-            proj = conv1d_forward(cur, *_fold_level(p, level, widths))
+        if _fold_pays(batch, length, c_in, f, widths):
+            fold = _fold_level(p, level, widths)
+            saves[f"enc{level}.fold"] = fold
+            proj = conv1d_forward(cur, *fold)
         else:
             branches = [
                 conv1d_forward(
@@ -599,22 +697,27 @@ def _backward(dprobs: np.ndarray, saves: dict, weights: PpspWeights) -> dict[str
         )
         g_skip = g_skip + d_skip[level]
         g_proj = relu_backward(g_skip, saves[f"enc{level}.proj"])
-        g_cat, dw, db = conv1d_backward(
-            g_proj, saves[f"enc{level}.cat"], p[f"enc{level}.project.weight"]
-        )
-        grads[f"enc{level}.project.weight"] = dw
-        grads[f"enc{level}.project.bias"] = db
         x_in = saves[f"enc{level}.in"]
-        g_in = np.zeros_like(x_in)
-        for i, w in enumerate(widths):
-            g_branch = g_cat[:, i * f : (i + 1) * f]
-            dxb, dw, db = conv1d_backward(
-                g_branch, x_in, p[f"enc{level}.branch{w}.weight"]
+        fold = saves.get(f"enc{level}.fold")
+        if fold is not None:
+            cur_grad, dw, db = conv1d_backward(g_proj, x_in, fold[0])
+            grads.update(_fold_level_backward(p, level, widths, dw, db))
+        else:
+            g_cat, dw, db = conv1d_backward(
+                g_proj, saves[f"enc{level}.cat"], p[f"enc{level}.project.weight"]
             )
-            grads[f"enc{level}.branch{w}.weight"] = dw
-            grads[f"enc{level}.branch{w}.bias"] = db
-            g_in += dxb
-        cur_grad = g_in
+            grads[f"enc{level}.project.weight"] = dw
+            grads[f"enc{level}.project.bias"] = db
+            g_in = np.zeros_like(x_in)
+            for i, w in enumerate(widths):
+                g_branch = g_cat[:, i * f : (i + 1) * f]
+                dxb, dw, db = conv1d_backward(
+                    g_branch, x_in, p[f"enc{level}.branch{w}.weight"]
+                )
+                grads[f"enc{level}.branch{w}.weight"] = dw
+                grads[f"enc{level}.branch{w}.bias"] = db
+                g_in += dxb
+            cur_grad = g_in
     return grads
 
 

@@ -359,6 +359,27 @@ class TestTrain:
             ])
             assert code == 2, entry
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ("network.filters_per_conv=2.5", "filters_per_conv"),
+            ("network.encoder_levels=true", "encoder_levels"),
+            ("network.input_bins=64.0", "input_bins"),
+            ("network.seed=1.5", "seed"),
+            ("network.multiscale_kernel_widths=[3.0,7]", "multiscale_kernel_widths"),
+            ("network.pyramid_reduced_filters=0", "pyramid_reduced_filters"),
+            ("network.bn_eps=NaN", "bn_eps"),
+        ],
+    )
+    def test_mistyped_network_value_is_config_error(self, tmp_path, capsys, entry, field):
+        samples = make_sample_dir(tmp_path)
+        code = main([
+            "train", "--samples", str(samples), "--seed", "5",
+            "--out", str(tmp_path / "x"), *TINY_NET_SETS, "--set", entry,
+        ])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_sample_without_fundamental_is_io_error(self, tmp_path, capsys):
         samples = make_sample_dir(tmp_path)
         (samples / "sample_0001.json").write_text("{}\n")

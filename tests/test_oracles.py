@@ -1,13 +1,15 @@
 """The array-based coarse stage, the zoomed fine stage, the multi-motor path
-and the PPSP inference pass against plain reference implementations, kept
-here as oracles.
+and the PPSP inference and training passes against plain reference
+implementations, kept here as oracles.
 
 The oracles are the straightforward per-candidate, per-harmonic loops, the
 fully zero-padded Welch transform, the bin-by-bin clearing walk, the
 ``np.add.at`` resize gradient and the unfolded network on an ``einsum``
-convolution.  The library must match the estimator oracles bit for bit:
-scores, picks, flags, cleared maps and the returned frequencies.  The folded
-network sums in another order, so it must match its oracle within 1e-12.
+convolution, forward and backward.  The library must match the estimator
+oracles bit for bit: scores, picks, flags, cleared maps and the returned
+frequencies.  The folded network sums in another order, so its outputs must
+match their oracle within 1e-12, and its loss and gradients within 1e-10 of
+each gradient tensor's largest magnitude.
 """
 
 import math
@@ -41,15 +43,25 @@ from magrev.ppsp import (
     PpspConfig,
     _fold_pays,
     _resize_table,
+    avgpool_backward,
     avgpool_forward,
+    batchnorm_backward,
     batchnorm_forward_eval,
+    batchnorm_forward_train,
+    conv1d_backward,
     conv1d_forward,
+    dice_loss,
+    dice_loss_grad,
     init_weights,
+    loss_and_grads,
+    maxpool_backward,
     maxpool_forward,
     ppsp_forward,
+    relu_backward,
     relu_forward,
     resize_backward,
     resize_forward,
+    sigmoid_backward,
     sigmoid_forward,
 )
 from magrev.signals import (
@@ -247,6 +259,94 @@ def einsum_forward(spectra, weights):
     return sigmoid_forward(bn)[:, 0, :]
 
 
+def einsum_conv_backward(dy, x, w):
+    """Gradients of einsum_conv: the weight gradient as one einsum over the
+    windows, the input gradient as one einsum per tap."""
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    length = x.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    dw = np.einsum("bol,bclk->ock", dy, windows, optimize=True)
+    dxp = np.zeros_like(xp)
+    for d in range(k):
+        dxp[:, :, d : d + length] += np.einsum("bol,oc->bcl", dy, w[:, :, d], optimize=True)
+    return dxp[:, :, pad : pad + length], dw, dy.sum(axis=(0, 2))
+
+
+def einsum_loss_and_grads(spectra, masks, weights, dice_eps=1.0):
+    """The training step with no encoder level folded: every branch, then
+    the projection, each convolution an einsum forward and backward.
+    Returns (mean dice loss, gradients)."""
+    cfg, p = weights.config, weights.params
+    f, widths = cfg.filters_per_conv, cfg.multiscale_kernel_widths
+    grads = {}
+
+    def conv(name, x):
+        return einsum_conv(x, p[f"{name}.weight"], p[f"{name}.bias"])
+
+    def conv_back(name, dy, x):
+        dx, grads[f"{name}.weight"], grads[f"{name}.bias"] = einsum_conv_backward(
+            dy, x, p[f"{name}.weight"]
+        )
+        return dx
+
+    cur = spectra[:, None, :]
+    enc = []  # (input, branch outputs, projection, skip, pool indices)
+    for level in range(cfg.encoder_levels):
+        cat = np.concatenate([conv(f"enc{level}.branch{w}", cur) for w in widths], axis=1)
+        proj = conv(f"enc{level}.project", cat)
+        skip = relu_forward(proj)
+        pooled, idx = maxpool_forward(skip, cfg.pool_kernel)
+        enc.append((cur, cat, proj, skip, idx))
+        cur = pooled
+    dec = {}
+    for level in reversed(range(cfg.encoder_levels)):
+        up = resize_forward(cur, cur.shape[2] * cfg.pool_kernel)
+        cat = np.concatenate([up, enc[level][3]], axis=1)
+        z = conv(f"dec{level}.conv", cat)
+        dec[level] = (cur.shape[2], cat, z)
+        cur = relu_forward(z)
+    feats, pooled = [cur], {}
+    for m in cfg.pyramid_pool_kernels:
+        pooled[m] = avgpool_forward(cur, m)
+        feats.append(resize_forward(conv(f"pyr{m}.conv", pooled[m]), cfg.input_bins))
+    head_in = np.concatenate(feats, axis=1)
+    bn, bn_cache, _, _ = batchnorm_forward_train(
+        conv("head.conv", head_in), p["head.bn.gamma"], p["head.bn.beta"], cfg.bn_eps
+    )
+    probs = sigmoid_forward(bn)
+
+    b = spectra.shape[0]
+    loss = float(np.mean([dice_loss(probs[i, 0], masks[i], eps=dice_eps) for i in range(b)]))
+    g = np.stack([dice_loss_grad(probs[i, 0], masks[i], eps=dice_eps) / b for i in range(b)])
+    g, grads["head.bn.gamma"], grads["head.bn.beta"] = batchnorm_backward(
+        sigmoid_backward(g[:, None, :], probs), bn_cache
+    )
+    g = conv_back("head.conv", g, head_in)
+    d_cur = g[:, :f].copy()
+    offset = f
+    for m in cfg.pyramid_pool_kernels:
+        g_proj = resize_backward(g[:, offset : offset + cfg.reduced_filters], m)
+        offset += cfg.reduced_filters
+        d_cur += avgpool_backward(conv_back(f"pyr{m}.conv", g_proj, pooled[m]), cfg.input_bins)
+    d_skip = {}
+    for level in range(cfg.encoder_levels):
+        in_len, cat, z = dec[level]
+        g_cat = conv_back(f"dec{level}.conv", relu_backward(d_cur, z), cat)
+        d_skip[level] = g_cat[:, f:]
+        d_cur = resize_backward(g_cat[:, :f], in_len)
+    for level in reversed(range(cfg.encoder_levels)):
+        x_in, cat, proj, _, idx = enc[level]
+        g_skip = maxpool_backward(d_cur, idx, cfg.pool_kernel) + d_skip[level]
+        g_cat = conv_back(f"enc{level}.project", relu_backward(g_skip, proj), cat)
+        d_cur = sum(
+            conv_back(f"enc{level}.branch{w}", g_cat[:, i * f : (i + 1) * f], x_in)
+            for i, w in enumerate(widths)
+        )
+    return loss, grads
+
+
 def add_at_resize_backward(dy, l_in):
     b, c, l_out = dy.shape
     i0, i1, w0, w1 = _resize_table(l_in, l_out)
@@ -261,6 +361,36 @@ def add_at_resize_backward(dy, l_in):
 # ---------------------------------------------------------------------------
 # Seeded inputs
 # ---------------------------------------------------------------------------
+
+
+# a small network whose encoder folds levels 0-1 but not 2 at batch 1
+SMALL_NET = PpspConfig(
+    input_bins=32, encoder_levels=3, filters_per_conv=8,
+    multiscale_kernel_widths=(3, 5, 7), seed=2,
+)
+
+
+def fold_pattern(config, batch):
+    f, widths = config.filters_per_conv, config.multiscale_kernel_widths
+    return [
+        _fold_pays(
+            batch, config.input_bins // config.pool_kernel**level,
+            1 if level == 0 else f, f, widths,
+        )
+        for level in range(config.encoder_levels)
+    ]
+
+
+def perturbed_weights(config, rng):
+    """Initial weights with non-zero biases and batch-norm statistics, so
+    that the folded bias and its gradient count."""
+    weights = init_weights(config)
+    for name, value in weights.params.items():
+        if name.endswith(".bias"):
+            weights.params[name] = rng.normal(scale=0.1, size=value.shape)
+    weights.bn_state["head.bn.running_mean"] = np.array([0.05])
+    weights.bn_state["head.bn.running_var"] = np.array([0.5])
+    return weights
 
 
 def random_map(rng):
@@ -496,44 +626,51 @@ class TestPpspForwardAgainstUnfoldedEinsum:
         [
             (PpspConfig(), 1, [True] * 4 + [False] * 5),
             (PpspConfig(), 3, [True] * 5 + [False] * 4),
-            (
-                PpspConfig(
-                    input_bins=32, encoder_levels=3, filters_per_conv=8,
-                    multiscale_kernel_widths=(3, 5, 7), seed=2,
-                ),
-                1,
-                [True, True, False],
-            ),
-            (
-                PpspConfig(
-                    input_bins=32, encoder_levels=3, filters_per_conv=8,
-                    multiscale_kernel_widths=(3, 5, 7), seed=2,
-                ),
-                3,
-                [True, True, True],
-            ),
+            (SMALL_NET, 1, [True, True, False]),
+            (SMALL_NET, 3, [True, True, True]),
         ],
     )
     def test_forward_within_1e12(self, config, batch, folded):
-        f, widths = config.filters_per_conv, config.multiscale_kernel_widths
-        pattern = [
-            _fold_pays(
-                batch, config.input_bins // config.pool_kernel**level,
-                1 if level == 0 else f, f, widths,
-            )
-            for level in range(config.encoder_levels)
-        ]
-        assert pattern == folded
-        weights = init_weights(config)
+        assert fold_pattern(config, batch) == folded
         rng = np.random.default_rng(batch)
-        # non-zero biases and batch-norm statistics, so the folded bias counts
-        for name, value in weights.params.items():
-            if name.endswith(".bias"):
-                weights.params[name] = rng.normal(scale=0.1, size=value.shape)
-        weights.bn_state["head.bn.running_mean"] = np.array([0.05])
-        weights.bn_state["head.bn.running_var"] = np.array([0.5])
+        weights = perturbed_weights(config, rng)
         spectra = rng.uniform(size=(batch, config.input_bins))
         np.testing.assert_allclose(
             ppsp_forward(spectra, weights), einsum_forward(spectra, weights),
             rtol=0.0, atol=1e-12,
         )
+
+
+class TestPpspTrainingAgainstUnfoldedEinsum:
+    def test_conv_backward_matches_einsum(self):
+        rng = np.random.default_rng(6)
+        # k = 1, C_out = 1, B > 1, and the widest branch on a long input
+        for batch, c_in, c_out, k, length in [
+            (2, 5, 3, 1, 9), (3, 7, 1, 3, 16), (4, 8, 6, 7, 32), (1, 1, 64, 15, 1024),
+        ]:
+            x = rng.normal(size=(batch, c_in, length))
+            w = rng.normal(size=(c_out, c_in, k))
+            # dy in the channel-major layout that conv1d_forward returns
+            dy = rng.normal(size=(c_out, batch, length)).transpose(1, 0, 2)
+            for got, want in zip(conv1d_backward(dy, x, w), einsum_conv_backward(dy, x, w)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, batch, folded",
+        [(PpspConfig(), 8, [True] * 7 + [False] * 2), (SMALL_NET, 1, [True, True, False])],
+    )
+    def test_loss_and_gradients_within_1e10(self, config, batch, folded):
+        assert fold_pattern(config, batch) == folded
+        rng = np.random.default_rng(batch + 10)
+        weights = perturbed_weights(config, rng)
+        spectra = rng.uniform(size=(batch, config.input_bins))
+        masks = (rng.uniform(size=(batch, config.input_bins)) > 0.9).astype(np.float64)
+        loss, grads, _ = loss_and_grads(spectra, masks, weights)
+        want_loss, want = einsum_loss_and_grads(spectra, masks, weights)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            # floor: batch norm cancels the head bias, whose gradient is
+            # rounding noise of order 1e-15 on both sides
+            atol = max(1e-10 * float(np.abs(g).max()), 1e-13)
+            np.testing.assert_allclose(grads[name], g, rtol=0.0, atol=atol, err_msg=name)

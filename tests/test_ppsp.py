@@ -5,11 +5,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from magrev.detector import TrainingSample, train
 from magrev.ppsp import (
     AdamState,
     PpspConfig,
     PpspWeights,
     TrainingDivergedError,
+    _forward,
     avgpool_backward,
     avgpool_forward,
     batchnorm_backward,
@@ -370,6 +372,46 @@ class TestForward:
             ppsp_forward(np.zeros(31), w)
 
 
+def worst_sampled_fd_error(x, y, weights, h=1e-5):
+    """Largest relative gap between loss_and_grads and central differences
+    of the loss, over up to five coordinates of every parameter tensor."""
+    _, grads, _ = loss_and_grads(x, y, weights)
+    worst = 0.0
+    for key, tensor in weights.params.items():
+        flat = tensor.reshape(-1)
+        picks = np.linspace(0, flat.size - 1, min(5, flat.size)).astype(int)
+        for j in picks:
+            orig = flat[j]
+            flat[j] = orig + h
+            hi, _, _ = loss_and_grads(x, y, weights)
+            flat[j] = orig - h
+            lo, _, _ = loss_and_grads(x, y, weights)
+            flat[j] = orig
+            fd = (hi - lo) / (2 * h)
+            an = grads[key].reshape(-1)[j]
+            worst = max(worst, abs(fd - an) / max(1e-10, abs(fd) + abs(an)))
+    return worst
+
+
+def folded_levels(config, batch):
+    """Which encoder levels a training forward pass folds, read from what it
+    saves for the backward pass: a folded level keeps its folded kernel and
+    no branch outputs."""
+    x = np.zeros((batch, 1, config.input_bins))
+    _, saves, _ = _forward(x, init_weights(config), train=True)
+    folded = [f"enc{level}.fold" in saves for level in range(config.encoder_levels)]
+    assert folded == [
+        f"enc{level}.cat" not in saves for level in range(config.encoder_levels)
+    ]
+    return folded
+
+
+# folds encoder levels 0-1 but not level 2 at batch 1, and all three at batch 2
+MIXED_FOLD_NET = small_config(
+    encoder_levels=3, filters_per_conv=8, multiscale_kernel_widths=(3, 5, 7), seed=2
+)
+
+
 class TestFullGradient:
     def test_network_gradients_match_finite_differences(self):
         # frozen probe: smooth region for this seed pair, verified coordinate
@@ -380,26 +422,46 @@ class TestFullGradient:
         rng = np.random.default_rng(1)
         x = rng.uniform(0.0, 1.0, size=(2, 32))
         y = (rng.uniform(size=(2, 32)) > 0.8).astype(np.float64)
+        assert folded_levels(cfg, 2) == [True, True]
+        assert worst_sampled_fd_error(x, y, weights) < 1e-4
 
-        _, grads, _ = loss_and_grads(x, y, weights)
-        h = 1e-5
-        worst = 0.0
-        for key, tensor in weights.params.items():
-            flat = tensor.reshape(-1)
-            picks = np.linspace(0, flat.size - 1, min(5, flat.size)).astype(int)
-            for j in picks:
-                orig = flat[j]
-                flat[j] = orig + h
-                hi, _, _ = loss_and_grads(x, y, weights)
-                flat[j] = orig - h
-                lo, _, _ = loss_and_grads(x, y, weights)
-                flat[j] = orig
-                fd = (hi - lo) / (2 * h)
-                an = grads[key].reshape(-1)[j]
-                worst = max(
-                    worst, abs(fd - an) / max(1e-10, abs(fd) + abs(an))
-                )
-        assert worst < 1e-4
+    def test_gradients_through_folded_and_unfolded_levels(self):
+        weights = init_weights(MIXED_FOLD_NET)
+        rng = np.random.default_rng(4)
+        for name, value in weights.params.items():
+            if name.endswith(".bias"):
+                weights.params[name] = rng.normal(scale=0.1, size=value.shape)
+        x = rng.uniform(0.0, 1.0, size=(1, 32))
+        y = (rng.uniform(size=(1, 32)) > 0.8).astype(np.float64)
+        assert folded_levels(MIXED_FOLD_NET, 1) == [True, True, False]
+        assert worst_sampled_fd_error(x, y, weights) < 1e-4
+
+    def test_full_size_batch_of_8_folds_levels_0_to_6(self):
+        assert folded_levels(PpspConfig(), 8) == [True] * 7 + [False] * 2
+
+    def test_training_is_bit_deterministic_with_folded_levels(self):
+        rng = np.random.default_rng(8)
+        freqs = np.arange(32.0)
+        samples = [
+            TrainingSample(
+                features=rng.uniform(size=32),
+                mask=(rng.uniform(size=32) > 0.8).astype(np.float64),
+                bin_frequencies=freqs,
+                fundamental_hz=5.0,
+            )
+            for _ in range(3)
+        ]
+        # batches of 2 fold every level; the last batch of 1 folds two of three
+        runs = [
+            train(samples, MIXED_FOLD_NET, epochs=3, batch_size=2, learning_rate=1e-2)
+            for _ in range(2)
+        ]
+        (w1, h1), (w2, h2) = runs
+        assert h1 == h2
+        for key in w1.params:
+            np.testing.assert_array_equal(w1.params[key], w2.params[key])
+        for key in w1.bn_state:
+            np.testing.assert_array_equal(w1.bn_state[key], w2.bn_state[key])
 
 
 class TestOptimizerAndStats:
