@@ -39,7 +39,7 @@ from .estimator import (
     estimate_rpm_multi,
 )
 from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
-from .ppsp import PpspConfig, TrainingDivergedError
+from .ppsp import INTEGER, REAL, PpspConfig, TrainingDivergedError
 from .sensor_io import (
     json_fingerprint,
     load_trace_csv,
@@ -319,14 +319,35 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# top-level training keys: kind, lowest value, whether that value is allowed
+_TRAINING_KEYS = {
+    "epochs": (INTEGER, 0, True),
+    "batch_size": (INTEGER, 1, True),
+    "count": (INTEGER, 1, True),
+    "learning_rate": (REAL, 0, False),
+    "dice_eps": (REAL, 0, True),
+}
+
+
+def _check_training_keys(doc: dict) -> None:
+    for key, ((kind, accepts), low, inclusive) in _TRAINING_KEYS.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        if not (accepts(value) and (value >= low if inclusive else value > low)):
+            bound = f">= {low}" if inclusive else f"> {low}"
+            raise _ConfigError(f"training key {key} must be {kind} {bound}, got {value!r}")
+
+
 def _cmd_train(args) -> int:
     seed = _require_seed(args)
     doc = _load_json_config(args.config)
     doc = _apply_sets(doc, args.set)
-    known = {"network", "epochs", "batch_size", "learning_rate", "dice_eps", "count"}
+    known = {"network", *_TRAINING_KEYS}
     unknown = set(doc) - known
     if unknown:
         raise _ConfigError(f"unknown training config keys: {sorted(unknown)}")
+    _check_training_keys(doc)
     try:
         net_config = PpspConfig(**{"seed": seed, **doc.get("network", {})})
     except (TypeError, ValueError) as exc:
@@ -341,16 +362,16 @@ def _cmd_train(args) -> int:
             raise _IoError(f"{samples_dir}: {exc}") from exc
     else:
         samples = synthesize_training_set(
-            int(doc.get("count", 16)), seed, input_bins=net_config.input_bins
+            doc.get("count", 16), seed, input_bins=net_config.input_bins
         )
     weights, history = train(
         samples,
         net_config,
-        epochs=int(doc.get("epochs", 30)),
-        batch_size=int(doc.get("batch_size", 8)),
-        learning_rate=float(doc.get("learning_rate", 1e-3)),
+        epochs=doc.get("epochs", 30),
+        batch_size=doc.get("batch_size", 8),
+        learning_rate=doc.get("learning_rate", 1e-3),
         seed=seed,
-        dice_eps=float(doc.get("dice_eps", 1.0)),
+        dice_eps=doc.get("dice_eps", 1.0),
     )
     out = _out_dir(args)
     weights.save(out / "weights.ppsp")

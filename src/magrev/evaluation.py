@@ -40,24 +40,12 @@ __all__ = [
     "calibrated_map_speed",
     "default_sweep_scenario",
     "peak_detection_baseline",
-    "rmae",
     "run_distance_sweep",
     "run_ser_map",
     "spearman_rank_correlation",
 ]
 
 ERROR_CAP_PCT = 100.0
-
-
-def rmae(estimates, truths) -> float:
-    """Relative mean absolute error in percent: mean(|est - true| / true) * 100."""
-    est = np.asarray(estimates, dtype=np.float64)
-    tru = np.asarray(truths, dtype=np.float64)
-    if est.shape != tru.shape or est.ndim != 1 or est.size == 0:
-        raise ValueError("estimates and truths must be equal-length 1-D arrays")
-    if np.any(tru <= 0):
-        raise ValueError("true values must be positive")
-    return float(np.mean(np.abs(est - tru) / tru) * 100.0)
 
 
 def spearman_rank_correlation(x, y) -> float:

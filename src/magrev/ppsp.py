@@ -23,15 +23,19 @@ Both inference and training fold encoder levels.  A level's branch
 convolutions and its width-1 projection have no nonlinearity between them,
 so they equal one convolution as wide as the widest branch, with weights
 sum_i P_i W_i (each branch centred and zero-padded) and bias P b + b_proj.
-A level is folded when that saves more multiply-adds than building the
-folded kernel costs, counted from the array shapes (see ``_fold_pays``); the
-full-size network folds levels 0-3 at batch 1 and levels 0-6 at batch 8.
-The loss is the same function of the parameters either way, so training
-takes the gradients of the folded kernel and carries them through the fold
-to the branches and the projection by the chain rule
-(``_fold_level_backward``).  The fold is rebuilt on every call, because the
-weights are mutable.  Folded and unfolded outputs and gradients differ only
-by floating-point rounding.
+Inference folds every level, once per set of weights: ``_inference_fold``
+keeps each level's fold on the ``PpspWeights`` and reuses it while the
+level's arrays are the same objects, and it makes those arrays read-only, so
+that an in-place edit raises instead of leaving a stale fold behind.
+Training builds a fresh fold on every step, because every step changes the
+weights, and folds a level only when that saves more multiply-adds than
+building the folded kernel costs, counted from the array shapes (see
+``_fold_pays``); the full-size network folds levels 0-6 at batch 8.  The
+loss is the same function of the parameters either way, so training takes
+the gradients of the folded kernel and carries them through the fold to the
+branches and the projection by the chain rule (``_fold_level_backward``).
+Folded and unfolded outputs and gradients differ only by floating-point
+rounding.
 """
 
 from __future__ import annotations
@@ -227,15 +231,25 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0.0)
 
 
-def maxpool_forward(x: np.ndarray, kernel: int):
-    """Non-overlapping max pool along the last axis.  Ties take the first
-    position (argmax convention)."""
-    b, c, length = x.shape
-    if length % kernel != 0:
+def _maxpool(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Non-overlapping max pool along the last axis, without indices: a
+    running maximum over the ``kernel`` strided phases.  np.maximum returns
+    its second argument on ties, so ties keep the earliest phase, the value
+    that the argmax in maxpool_forward picks."""
+    if x.shape[2] % kernel != 0:
         raise ValueError("pool kernel must divide the feature length")
-    xr = x.reshape(b, c, length // kernel, kernel)
-    idx = xr.argmax(axis=3)
-    out = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
+    out = np.maximum(x[..., 1::kernel], x[..., 0::kernel])
+    for j in range(2, kernel):
+        np.maximum(x[..., j::kernel], out, out=out)
+    return out
+
+
+def maxpool_forward(x: np.ndarray, kernel: int):
+    """Non-overlapping max pool along the last axis, with the argmax index
+    of each window for maxpool_backward.  Ties take the first position."""
+    out = _maxpool(x, kernel)
+    b, c, length = x.shape
+    idx = x.reshape(b, c, length // kernel, kernel).argmax(axis=3)
     return out, idx
 
 
@@ -393,11 +407,20 @@ def dice_loss_grad(prediction: np.ndarray, target: np.ndarray, eps: float = 1.0)
 
 @dataclass
 class PpspWeights:
-    """Trainable parameters plus batch-norm running statistics."""
+    """Trainable parameters plus batch-norm running statistics.
+
+    Inference keeps each encoder level's folded kernel here, and makes the
+    arrays it was folded from read-only.  To change the weights after an
+    inference call, replace arrays in ``params``; do not edit them in place.
+    ``copy()`` gives writeable arrays and no stored folds."""
 
     config: PpspConfig
     params: dict[str, np.ndarray]
     bn_state: dict[str, np.ndarray] = field(default_factory=dict)
+    # level -> (the arrays the fold was built from, (weight, bias))
+    _folds: dict[int, tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def copy(self) -> "PpspWeights":
         return PpspWeights(
@@ -503,13 +526,14 @@ def init_weights(config: PpspConfig) -> PpspWeights:
 
 
 def _fold_pays(batch: int, length: int, c_in: int, f: int, widths: tuple[int, ...]) -> bool:
-    """True when folding an encoder level saves more multiply-adds than
-    building the folded kernel costs.  Unfolded, the level takes
-    ``B*L*f*(C_in*sum(widths) + n*f)`` (n branches, then the projection);
-    folded, ``B*L*f*C_in*max(widths)``; the fold itself takes
-    ``f*f*C_in*sum(widths)``.  The same rule holds for a training step,
-    whose backward pass costs each side twice over again: two products per
-    convolution, and two per branch to carry gradients through the fold."""
+    """True when folding an encoder level for one training step saves more
+    multiply-adds than building the folded kernel costs.  Unfolded, the
+    level's forward pass takes ``B*L*f*(C_in*sum(widths) + n*f)`` (n
+    branches, then the projection); folded, ``B*L*f*C_in*max(widths)``; the
+    fold itself takes ``f*f*C_in*sum(widths)``.  The backward pass costs each
+    side twice over again: two products per convolution, and two per branch
+    to carry gradients through the fold.  Inference folds every level, since
+    it builds each fold once per set of weights (``_inference_fold``)."""
     saved = batch * length * f * (c_in * sum(widths) + len(widths) * f - max(widths) * c_in)
     return saved > f * f * c_in * sum(widths)
 
@@ -534,6 +558,28 @@ def _fold_level(
         )
     bias = proj @ np.concatenate([p[f"enc{level}.branch{w}.bias"] for w in widths])
     return weight, bias + p[f"enc{level}.project.bias"]
+
+
+def _inference_fold(weights: PpspWeights, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_fold_level`` for inference, built once per set of weights: the
+    stored fold is reused while each of the level's branch and projection
+    arrays is the same object it was built from.  Storing a fold makes those
+    arrays read-only, so an in-place edit raises instead of going unseen."""
+    p = weights.params
+    widths = weights.config.multiscale_kernel_widths
+    sources = tuple(
+        p[f"enc{level}.{conv}.{part}"]
+        for conv in (*(f"branch{w}" for w in widths), "project")
+        for part in ("weight", "bias")
+    )
+    stored = weights._folds.get(level)
+    if stored is not None and all(a is b for a, b in zip(stored[0], sources)):
+        return stored[1]
+    fold = _fold_level(p, level, widths)
+    for arr in sources:
+        arr.flags.writeable = False
+    weights._folds[level] = (sources, fold)
+    return fold
 
 
 def _fold_level_backward(
@@ -589,7 +635,9 @@ def _forward(
     for level in range(cfg.encoder_levels):
         saves[f"enc{level}.in"] = cur
         batch, c_in, length = cur.shape
-        if _fold_pays(batch, length, c_in, f, widths):
+        if not train:
+            proj = conv1d_forward(cur, *_inference_fold(weights, level))
+        elif _fold_pays(batch, length, c_in, f, widths):
             fold = _fold_level(p, level, widths)
             saves[f"enc{level}.fold"] = fold
             proj = conv1d_forward(cur, *fold)
@@ -608,8 +656,10 @@ def _forward(
         saves[f"enc{level}.proj"] = proj
         skip = relu_forward(proj)
         saves[f"enc{level}.skip"] = skip
-        cur, idx = maxpool_forward(skip, cfg.pool_kernel)
-        saves[f"enc{level}.poolidx"] = idx
+        if train:
+            cur, saves[f"enc{level}.poolidx"] = maxpool_forward(skip, cfg.pool_kernel)
+        else:
+            cur = _maxpool(skip, cfg.pool_kernel)
     for level in reversed(range(cfg.encoder_levels)):
         saves[f"dec{level}.inlen"] = cur.shape[2]
         up = resize_forward(cur, cur.shape[2] * cfg.pool_kernel)

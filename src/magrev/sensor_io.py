@@ -29,14 +29,14 @@ return the volts-per-count used; keep it (e.g. in a sidecar) if absolute
 amplitudes matter.  The speed estimation pipeline is scale-invariant, so a
 default of 1.0 on import is fine for estimation work.
 
-JSON documents (sensing configurations, ``meta.json``, estimates, benchmark
-summaries, training-sample metadata) are written by :func:`write_json`:
+JSON documents (``meta.json``, estimates, benchmark summaries,
+training-sample metadata) are written by :func:`write_json`:
 sorted keys, indent 2 unless asked otherwise, and a trailing newline.
 Configuration dataclasses round-trip through ``dataclasses.asdict`` and
 their constructors, which normalise JSON lists back to tuples; a key the
 constructor does not know is an error, never silently ignored.  A sensing
 configuration is one JSON document with the sections motor (or motors),
-geometry, noise and coil.
+geometry, noise and coil, read by :func:`parse_sensing_config`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import hashlib
 import json
 import wave
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -246,28 +245,6 @@ _SECTIONS = {
 }
 
 
-def save_sensing_config(
-    path: str | Path,
-    motor: MotorProfile | None = None,
-    motors: list[MotorProfile] | None = None,
-    geometry: ArrayGeometry | None = None,
-    noise: NoiseProfile | None = None,
-    coil: CoilParams | None = None,
-    extra: dict | None = None,
-) -> None:
-    """Persist a sensing setup as JSON.  Either ``motor`` or ``motors`` may be
-    given; other sections are optional and omitted when None."""
-    if motor is not None and motors is not None:
-        raise ValueError("give either motor or motors, not both")
-    sections = {"motor": motor, "geometry": geometry, "noise": noise, "coil": coil}
-    doc = {key: asdict(value) for key, value in sections.items() if value is not None}
-    if motors is not None:
-        doc["motors"] = [asdict(m) for m in motors]
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
-
-
 def parse_sensing_config(data: dict, source: str = "<config>") -> dict:
     """Typed sections from an in-memory sensing document.  Returns a dict
     with any of the keys motor / motors / geometry / noise / coil populated,
@@ -288,8 +265,3 @@ def parse_sensing_config(data: dict, source: str = "<config>") -> dict:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{source}: bad '{key}' section: {exc}") from exc
     return out
-
-
-def load_sensing_config(path: str | Path) -> dict:
-    """Load a sensing setup from JSON; see :func:`parse_sensing_config`."""
-    return parse_sensing_config(read_json(path), source=str(path))

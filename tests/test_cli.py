@@ -380,6 +380,43 @@ class TestTrain:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("epochs=2.5", "epochs"),
+            ("epochs=-1", "epochs"),
+            ("batch_size=true", "batch_size"),
+            ("batch_size=0", "batch_size"),
+            ("count=4.0", "count"),
+            ("count=0", "count"),
+            ("learning_rate=NaN", "learning_rate"),
+            ("learning_rate=0", "learning_rate"),
+            ("learning_rate=fast", "learning_rate"),
+            ("dice_eps=Infinity", "dice_eps"),
+            ("dice_eps=-0.5", "dice_eps"),
+        ],
+    )
+    def test_bad_training_key_is_config_error(self, tmp_path, capsys, entry, key):
+        samples = make_sample_dir(tmp_path)
+        out = tmp_path / "x"
+        code = main([
+            "train", "--samples", str(samples), "--seed", "5",
+            "--out", str(out), *TINY_NET_SETS, "--set", entry,
+        ])
+        assert code == 2
+        assert f"training key {key} " in capsys.readouterr().err
+        assert not (out / "weights.ppsp").exists()
+
+    def test_training_keys_at_their_bounds_are_accepted(self, tmp_path):
+        samples = make_sample_dir(tmp_path)
+        code = main([
+            "train", "--samples", str(samples), "--seed", "5",
+            "--out", str(tmp_path / "x"), *TINY_NET_SETS,
+            "--set", "epochs=0", "--set", "batch_size=1", "--set", "count=1",
+            "--set", "learning_rate=1", "--set", "dice_eps=0",
+        ])
+        assert code == 0
+
     def test_sample_without_fundamental_is_io_error(self, tmp_path, capsys):
         samples = make_sample_dir(tmp_path)
         (samples / "sample_0001.json").write_text("{}\n")

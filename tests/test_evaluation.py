@@ -5,8 +5,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from magrev.evaluation import (
     _biased_autocorrelation,
@@ -18,7 +16,6 @@ from magrev.evaluation import (
     calibrated_map_speed,
     default_sweep_scenario,
     peak_detection_baseline,
-    rmae,
     run_distance_sweep,
     run_ser_map,
     spearman_rank_correlation,
@@ -28,36 +25,6 @@ from magrev.estimator import PipelineConfig
 from magrev.ppsp import PpspConfig, PpspWeights, init_weights
 
 from conftest import tone
-
-
-class TestRmae:
-    def test_hand_value(self):
-        # |3030-3000|/3000 = 1%, |5940-6000|/6000 = 1% -> mean 1%
-        assert rmae([3030.0, 5940.0], [3000.0, 6000.0]) == pytest.approx(1.0)
-
-    def test_exact_estimates_give_zero(self):
-        assert rmae([100.0, 200.0], [100.0, 200.0]) == 0.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        scale=st.floats(min_value=0.01, max_value=100.0),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_scale_invariance(self, scale, seed):
-        rng = np.random.default_rng(seed)
-        truths = rng.uniform(100.0, 1000.0, size=8)
-        estimates = truths * rng.uniform(0.8, 1.2, size=8)
-        base = rmae(estimates, truths)
-        scaled = rmae(estimates * scale, truths * scale)
-        assert scaled == pytest.approx(base, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rmae([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            rmae([], [])
-        with pytest.raises(ValueError):
-            rmae([1.0], [0.0])
 
 
 class TestSpearman:

@@ -363,7 +363,7 @@ def add_at_resize_backward(dy, l_in):
 # ---------------------------------------------------------------------------
 
 
-# a small network whose encoder folds levels 0-1 but not 2 at batch 1
+# a small network whose training step folds levels 0-1 but not 2 at batch 1
 SMALL_NET = PpspConfig(
     input_bins=32, encoder_levels=3, filters_per_conv=8,
     multiscale_kernel_widths=(3, 5, 7), seed=2,
@@ -621,17 +621,17 @@ class TestPpspForwardAgainstUnfoldedEinsum:
                 conv1d_forward(x, w, b), einsum_conv(x, w, b), rtol=1e-12, atol=1e-12
             )
 
+    # inference folds every encoder level, whatever the batch size
     @pytest.mark.parametrize(
         "config, batch, folded",
         [
-            (PpspConfig(), 1, [True] * 4 + [False] * 5),
-            (PpspConfig(), 3, [True] * 5 + [False] * 4),
-            (SMALL_NET, 1, [True, True, False]),
-            (SMALL_NET, 3, [True, True, True]),
+            (PpspConfig(), 1, [True] * 9),
+            (PpspConfig(), 3, [True] * 9),
+            (SMALL_NET, 1, [True] * 3),
+            (SMALL_NET, 3, [True] * 3),
         ],
     )
     def test_forward_within_1e12(self, config, batch, folded):
-        assert fold_pattern(config, batch) == folded
         rng = np.random.default_rng(batch)
         weights = perturbed_weights(config, rng)
         spectra = rng.uniform(size=(batch, config.input_bins))
@@ -639,6 +639,7 @@ class TestPpspForwardAgainstUnfoldedEinsum:
             ppsp_forward(spectra, weights), einsum_forward(spectra, weights),
             rtol=0.0, atol=1e-12,
         )
+        assert [level in weights._folds for level in range(config.encoder_levels)] == folded
 
 
 class TestPpspTrainingAgainstUnfoldedEinsum:

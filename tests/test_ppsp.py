@@ -12,6 +12,7 @@ from magrev.ppsp import (
     PpspWeights,
     TrainingDivergedError,
     _forward,
+    _maxpool,
     avgpool_backward,
     avgpool_forward,
     batchnorm_backward,
@@ -134,6 +135,21 @@ class TestPooling:
     def test_maxpool_rejects_ragged_length(self):
         with pytest.raises(ValueError):
             maxpool_forward(np.zeros((1, 1, 7)), 2)
+        with pytest.raises(ValueError):
+            _maxpool(np.zeros((1, 1, 7)), 2)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_maxpool_without_indices_is_bit_equal(self, kernel):
+        # a few negative and positive levels, so most windows hold ties
+        rng = np.random.default_rng(kernel)
+        x = rng.choice([-2.0, -0.5, 0.25, 1.0], size=(3, 4, 12 * kernel))
+        out, idx = maxpool_forward(x, kernel)
+        at_idx = np.take_along_axis(
+            x.reshape(3, 4, 12, kernel), idx[..., None], axis=3
+        )[..., 0]
+        fast = _maxpool(x, kernel)
+        assert fast.tobytes() == out.tobytes() == at_idx.tobytes()
+        np.testing.assert_array_equal(fast, x.reshape(3, 4, 12, kernel).max(axis=3))
 
     def test_avgpool_roundtrip_gradcheck(self):
         rng = np.random.default_rng(2)
@@ -370,6 +386,87 @@ class TestForward:
         w = init_weights(small_config())
         with pytest.raises(ValueError):
             ppsp_forward(np.zeros(31), w)
+
+
+def perturbed(config):
+    """Initial weights with non-zero biases, so that folded biases count."""
+    weights = init_weights(config)
+    rng = np.random.default_rng(11)
+    for name, value in weights.params.items():
+        if name.endswith(".bias"):
+            weights.params[name] = rng.normal(scale=0.1, size=value.shape)
+    return weights
+
+
+class TestInferenceFold:
+    def test_fold_is_built_once_per_set_of_weights(self):
+        w = perturbed(small_config())
+        x = np.random.default_rng(0).uniform(size=(2, 32))
+        first = ppsp_forward(x, w)
+        folds = {level: stored[1] for level, stored in w._folds.items()}
+        assert sorted(folds) == [0, 1]
+        np.testing.assert_array_equal(ppsp_forward(x, w), first)
+        assert all(w._folds[level][1] is fold for level, fold in folds.items())
+
+    def test_replaced_array_refolds(self):
+        w = perturbed(small_config())
+        x = np.random.default_rng(1).uniform(size=(2, 32))
+        before = ppsp_forward(x, w)
+        name = "enc0.branch3.weight"
+        w.params[name] = w.params[name] * -1.5
+        after = ppsp_forward(x, w)
+        fresh = PpspWeights(config=w.config, params=dict(w.params), bn_state=dict(w.bn_state))
+        assert after.tobytes() == ppsp_forward(x, fresh).tobytes()
+        assert not np.array_equal(after, before)
+
+    def test_in_place_edit_of_folded_array_raises(self):
+        w = perturbed(small_config())
+        ppsp_forward(np.zeros(32), w)
+        for name in ("enc0.branch7.weight", "enc1.project.bias"):
+            with pytest.raises(ValueError, match="read-only"):
+                w.params[name][0] += 1.0
+        # arrays that are not folded stay writeable
+        w.params["head.conv.bias"][0] += 1.0
+
+    def test_copy_is_writeable_and_has_no_folds(self):
+        w = perturbed(small_config())
+        x = np.random.default_rng(2).uniform(size=32)
+        out = ppsp_forward(x, w)
+        c = w.copy()
+        assert c._folds == {}
+        assert all(arr.flags.writeable for arr in c.params.values())
+        np.testing.assert_array_equal(ppsp_forward(x, c), out)
+
+    def test_save_writes_the_same_bytes_after_inference(self, tmp_path):
+        w = perturbed(small_config())
+        w.save(tmp_path / "before.ppsp")
+        ppsp_forward(np.zeros(32), w)
+        w.save(tmp_path / "after.ppsp")
+        assert (tmp_path / "before.ppsp").read_bytes() == (tmp_path / "after.ppsp").read_bytes()
+        assert PpspWeights.load(tmp_path / "after.ppsp")._folds == {}
+
+    def test_training_from_weights_that_ran_inference(self):
+        cfg = small_config()
+        rng = np.random.default_rng(3)
+        samples = [
+            TrainingSample(
+                features=rng.uniform(size=32),
+                mask=(rng.uniform(size=32) > 0.8).astype(np.float64),
+                bin_frequencies=np.arange(32.0),
+                fundamental_hz=5.0,
+            )
+            for _ in range(2)
+        ]
+        w = perturbed(cfg)
+        x = np.stack([s.features for s in samples])
+        out = ppsp_forward(x, w)
+        tuned, history = train(samples, cfg, epochs=2, batch_size=2, weights=w)
+        assert len(history) == 2 and all(np.isfinite(history))
+        reference, _ = train(samples, cfg, epochs=2, batch_size=2, weights=perturbed(cfg))
+        for key in tuned.params:
+            np.testing.assert_array_equal(tuned.params[key], reference.params[key])
+        np.testing.assert_array_equal(ppsp_forward(x, w), out)
+        assert not np.array_equal(ppsp_forward(x, tuned), out)
 
 
 def worst_sampled_fd_error(x, y, weights, h=1e-5):
