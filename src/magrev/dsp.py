@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +419,9 @@ def log_normalize(spectrum: PowerSpectrum) -> PowerSpectrum:
 
 
 def resample(signal: np.ndarray, factor: float) -> np.ndarray:
-    """Band-limited (windowed-sinc) resampling by a positive real factor.
+    """Band-limited resampling by a positive real factor, in the Fourier
+    domain: the input's spectrum is zero-padded or truncated to the output
+    length, so the input is treated as one period of a periodic signal.
 
     The output has round(len * factor) samples; read at the original sample
     rate it is the input stretched in time by ``factor``, so a tone at f
@@ -436,10 +437,4 @@ def resample(signal: np.ndarray, factor: float) -> np.ndarray:
         raise ValueError("factor is too small for this signal length")
     if factor == 1.0:
         return x.copy()
-    from scipy.signal import resample_poly  # heavy import, needed only here
-
-    frac = Fraction(factor).limit_denominator(1000)
-    y = resample_poly(x, frac.numerator, frac.denominator)
-    if y.size >= target:
-        return y[:target]
-    return np.pad(y, (0, target - y.size))
+    return np.fft.irfft(np.fft.rfft(x), n=target) * (target / x.size)

@@ -167,9 +167,6 @@ class FuzzyLikelihood:
         if self.candidate_hz.shape != self.scores.shape:
             raise ValueError("candidates and scores must align")
 
-    def argmax_hz(self) -> float:
-        return float(self.candidate_hz[int(np.argmax(self.scores))])
-
 
 @dataclass
 class CoarseResult:

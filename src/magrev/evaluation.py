@@ -48,12 +48,18 @@ __all__ = [
 ERROR_CAP_PCT = 100.0
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def spearman_rank_correlation(x, y) -> float:
     """Spearman rho (Pearson correlation of average ranks)."""
-    from scipy.stats import rankdata  # heavy import, needed only here
-
-    xr = rankdata(np.asarray(x, dtype=np.float64))
-    yr = rankdata(np.asarray(y, dtype=np.float64))
+    xr = _average_ranks(x)
+    yr = _average_ranks(y)
     xr -= xr.mean()
     yr -= yr.mean()
     denom = math.sqrt(float(xr @ xr) * float(yr @ yr))

@@ -19,23 +19,20 @@ Every convolution is one matrix product: the weights, reshaped to
 backward pass is two more over the same columns: the weight gradient, and
 the column gradient that col2im sums back onto the input.
 
-Both inference and training fold encoder levels.  A level's branch
+Every encoder level runs as one folded convolution.  A level's branch
 convolutions and its width-1 projection have no nonlinearity between them,
 so they equal one convolution as wide as the widest branch, with weights
 sum_i P_i W_i (each branch centred and zero-padded) and bias P b + b_proj.
-Inference folds every level, once per set of weights: ``_inference_fold``
+Inference folds every level once per set of weights: ``_inference_fold``
 keeps each level's fold on the ``PpspWeights`` and reuses it while the
 level's arrays are the same objects, and it makes those arrays read-only, so
 that an in-place edit raises instead of leaving a stale fold behind.
-Training builds a fresh fold on every step, because every step changes the
-weights, and folds a level only when that saves more multiply-adds than
-building the folded kernel costs, counted from the array shapes (see
-``_fold_pays``); the full-size network folds levels 0-6 at batch 8.  The
-loss is the same function of the parameters either way, so training takes
-the gradients of the folded kernel and carries them through the fold to the
-branches and the projection by the chain rule (``_fold_level_backward``).
-Folded and unfolded outputs and gradients differ only by floating-point
-rounding.
+Training builds a fresh fold of every level on every step, because every
+step changes the weights.  The loss is the same function of the parameters
+as the unfolded network's, so training takes the gradients of the folded
+kernel and carries them through the fold to the branches and the
+projection by the chain rule (``_fold_level_backward``).  Folded and
+unfolded outputs and gradients differ only by floating-point rounding.
 """
 
 from __future__ import annotations
@@ -212,14 +209,11 @@ def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     dw = (dy2 @ _columns(x, k).T).reshape(w.shape)
     db = dy2.sum(axis=1)
     dcols = (w.reshape(c_out, -1).T @ dy2).reshape(c_in, k, batch, length)
-    if k == 1:
-        dx = dcols[:, 0]
-    else:
-        pad = (k - 1) // 2
-        dxp = np.zeros((c_in, batch, length + 2 * pad))
-        for j in range(k):
-            dxp[:, :, j : j + length] += dcols[:, j]
-        dx = dxp[:, :, pad : pad + length]
+    pad = (k - 1) // 2
+    dxp = np.zeros((c_in, batch, length + 2 * pad))
+    for j in range(k):
+        dxp[:, :, j : j + length] += dcols[:, j]
+    dx = dxp[:, :, pad : pad + length]
     return dx.transpose(1, 0, 2), dw, db
 
 
@@ -525,19 +519,6 @@ def init_weights(config: PpspConfig) -> PpspWeights:
 # ---------------------------------------------------------------------------
 
 
-def _fold_pays(batch: int, length: int, c_in: int, f: int, widths: tuple[int, ...]) -> bool:
-    """True when folding an encoder level for one training step saves more
-    multiply-adds than building the folded kernel costs.  Unfolded, the
-    level's forward pass takes ``B*L*f*(C_in*sum(widths) + n*f)`` (n
-    branches, then the projection); folded, ``B*L*f*C_in*max(widths)``; the
-    fold itself takes ``f*f*C_in*sum(widths)``.  The backward pass costs each
-    side twice over again: two products per convolution, and two per branch
-    to carry gradients through the fold.  Inference folds every level, since
-    it builds each fold once per set of weights (``_inference_fold``)."""
-    saved = batch * length * f * (c_in * sum(widths) + len(widths) * f - max(widths) * c_in)
-    return saved > f * f * c_in * sum(widths)
-
-
 def _fold_level(
     p: dict[str, np.ndarray], level: int, widths: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -629,30 +610,16 @@ def _forward(
     if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_bins:
         raise ValueError(f"expected input of shape (B, 1, {cfg.input_bins})")
     widths = cfg.multiscale_kernel_widths
-    f = cfg.filters_per_conv
     saves: dict[str, object] = {}
     cur = x
     for level in range(cfg.encoder_levels):
         saves[f"enc{level}.in"] = cur
-        batch, c_in, length = cur.shape
-        if not train:
-            proj = conv1d_forward(cur, *_inference_fold(weights, level))
-        elif _fold_pays(batch, length, c_in, f, widths):
+        if train:
             fold = _fold_level(p, level, widths)
             saves[f"enc{level}.fold"] = fold
-            proj = conv1d_forward(cur, *fold)
         else:
-            branches = [
-                conv1d_forward(
-                    cur, p[f"enc{level}.branch{w}.weight"], p[f"enc{level}.branch{w}.bias"]
-                )
-                for w in widths
-            ]
-            cat = np.concatenate(branches, axis=1)
-            saves[f"enc{level}.cat"] = cat
-            proj = conv1d_forward(
-                cat, p[f"enc{level}.project.weight"], p[f"enc{level}.project.bias"]
-            )
+            fold = _inference_fold(weights, level)
+        proj = conv1d_forward(cur, *fold)
         saves[f"enc{level}.proj"] = proj
         skip = relu_forward(proj)
         saves[f"enc{level}.skip"] = skip
@@ -747,27 +714,10 @@ def _backward(dprobs: np.ndarray, saves: dict, weights: PpspWeights) -> dict[str
         )
         g_skip = g_skip + d_skip[level]
         g_proj = relu_backward(g_skip, saves[f"enc{level}.proj"])
-        x_in = saves[f"enc{level}.in"]
-        fold = saves.get(f"enc{level}.fold")
-        if fold is not None:
-            cur_grad, dw, db = conv1d_backward(g_proj, x_in, fold[0])
-            grads.update(_fold_level_backward(p, level, widths, dw, db))
-        else:
-            g_cat, dw, db = conv1d_backward(
-                g_proj, saves[f"enc{level}.cat"], p[f"enc{level}.project.weight"]
-            )
-            grads[f"enc{level}.project.weight"] = dw
-            grads[f"enc{level}.project.bias"] = db
-            g_in = np.zeros_like(x_in)
-            for i, w in enumerate(widths):
-                g_branch = g_cat[:, i * f : (i + 1) * f]
-                dxb, dw, db = conv1d_backward(
-                    g_branch, x_in, p[f"enc{level}.branch{w}.weight"]
-                )
-                grads[f"enc{level}.branch{w}.weight"] = dw
-                grads[f"enc{level}.branch{w}.bias"] = db
-                g_in += dxb
-            cur_grad = g_in
+        cur_grad, dw, db = conv1d_backward(
+            g_proj, saves[f"enc{level}.in"], saves[f"enc{level}.fold"][0]
+        )
+        grads.update(_fold_level_backward(p, level, widths, dw, db))
     return grads
 
 

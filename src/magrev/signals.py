@@ -187,13 +187,6 @@ class NoiseProfile:
             a > 0 for _, a in self.mains_components
         )
 
-    def channel_rms(self) -> float:
-        """Analytic RMS of the per-channel noise."""
-        power = self.broadband_sigma**2
-        power += sum(a * a / 2.0 for _, a in self.mains_components)
-        return math.sqrt(power)
-
-
 
 @dataclass
 class SensorTrace:

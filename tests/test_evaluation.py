@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from magrev.evaluation import (
+    _average_ranks,
     _biased_autocorrelation,
     ERROR_CAP_PCT,
     BenchResult,
@@ -48,6 +49,13 @@ class TestSpearman:
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):
             spearman_rank_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_average_ranks_equal_rankdata_with_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            x = rng.integers(0, int(rng.integers(1, 8)), size=n) * 0.5 - 1.0
+            np.testing.assert_array_equal(_average_ranks(x), scipy.stats.rankdata(x))
 
 
 class TestBaselines:

@@ -492,19 +492,14 @@ def worst_sampled_fd_error(x, y, weights, h=1e-5):
 
 def folded_levels(config, batch):
     """Which encoder levels a training forward pass folds, read from what it
-    saves for the backward pass: a folded level keeps its folded kernel and
-    no branch outputs."""
+    saves for the backward pass: a folded level keeps its folded kernel."""
     x = np.zeros((batch, 1, config.input_bins))
     _, saves, _ = _forward(x, init_weights(config), train=True)
-    folded = [f"enc{level}.fold" in saves for level in range(config.encoder_levels)]
-    assert folded == [
-        f"enc{level}.cat" not in saves for level in range(config.encoder_levels)
-    ]
-    return folded
+    return [f"enc{level}.fold" in saves for level in range(config.encoder_levels)]
 
 
-# folds encoder levels 0-1 but not level 2 at batch 1, and all three at batch 2
-MIXED_FOLD_NET = small_config(
+# three encoder levels of 8 filters, the deepest on 8 bins
+THREE_LEVEL_NET = small_config(
     encoder_levels=3, filters_per_conv=8, multiscale_kernel_widths=(3, 5, 7), seed=2
 )
 
@@ -522,19 +517,20 @@ class TestFullGradient:
         assert folded_levels(cfg, 2) == [True, True]
         assert worst_sampled_fd_error(x, y, weights) < 1e-4
 
-    def test_gradients_through_folded_and_unfolded_levels(self):
-        weights = init_weights(MIXED_FOLD_NET)
+    def test_gradients_through_three_folded_levels_at_batch_1(self):
+        weights = init_weights(THREE_LEVEL_NET)
         rng = np.random.default_rng(4)
         for name, value in weights.params.items():
             if name.endswith(".bias"):
                 weights.params[name] = rng.normal(scale=0.1, size=value.shape)
         x = rng.uniform(0.0, 1.0, size=(1, 32))
         y = (rng.uniform(size=(1, 32)) > 0.8).astype(np.float64)
-        assert folded_levels(MIXED_FOLD_NET, 1) == [True, True, False]
+        assert folded_levels(THREE_LEVEL_NET, 1) == [True] * 3
         assert worst_sampled_fd_error(x, y, weights) < 1e-4
 
-    def test_full_size_batch_of_8_folds_levels_0_to_6(self):
-        assert folded_levels(PpspConfig(), 8) == [True] * 7 + [False] * 2
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_full_size_training_folds_every_level(self, batch):
+        assert folded_levels(PpspConfig(), batch) == [True] * 9
 
     def test_training_is_bit_deterministic_with_folded_levels(self):
         rng = np.random.default_rng(8)
@@ -548,9 +544,9 @@ class TestFullGradient:
             )
             for _ in range(3)
         ]
-        # batches of 2 fold every level; the last batch of 1 folds two of three
+        # batches of 2, then a last batch of 1
         runs = [
-            train(samples, MIXED_FOLD_NET, epochs=3, batch_size=2, learning_rate=1e-2)
+            train(samples, THREE_LEVEL_NET, epochs=3, batch_size=2, learning_rate=1e-2)
             for _ in range(2)
         ]
         (w1, h1), (w2, h2) = runs
