@@ -91,7 +91,6 @@ class PowerSpectrum:
     frequencies: np.ndarray
     densities: np.ndarray
     resolution_df: float
-    normalized: bool = False
 
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=np.float64)
@@ -414,7 +413,6 @@ def log_normalize(spectrum: PowerSpectrum) -> PowerSpectrum:
         frequencies=spectrum.frequencies.copy(),
         densities=values,
         resolution_df=spectrum.resolution_df,
-        normalized=True,
     )
 
 

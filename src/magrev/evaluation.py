@@ -12,15 +12,16 @@ saturates instead of vanishing from the average.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import NoiseReference, default_segment_len, welch_psd
 from .estimator import PipelineConfig, PipelineError, estimate_rpm
-from .ppsp import PpspWeights
+from .ppsp import INTEGER, REAL, PpspWeights, check_field_types
 from .sensor_io import json_fingerprint, write_json, write_table
 from .signals import (
     ArrayGeometry,
@@ -177,7 +178,13 @@ class SweepScenario:
 
     def __post_init__(self):
         """JSON lists become the tuples above, and a ``pipeline`` dict
-        becomes a :class:`PipelineConfig`."""
+        becomes a :class:`PipelineConfig`.  A value of the wrong kind or out
+        of range is a ValueError that names its field."""
+        if isinstance(self.pipeline, dict):
+            object.__setattr__(self, "pipeline", PipelineConfig(**self.pipeline))
+        elif not isinstance(self.pipeline, PipelineConfig):
+            raise TypeError("pipeline must be a PipelineConfig or a dict of its keys")
+        check_field_types(self, _SCENARIO_FIELD_TYPES)
         normalized = {
             "distances_cm": tuple(float(d) for d in self.distances_cm),
             "speeds_rpm": tuple(float(s) for s in self.speeds_rpm),
@@ -187,15 +194,47 @@ class SweepScenario:
             "harmonic_shape": tuple((int(k), float(a)) for k, a in self.harmonic_shape),
             "mains": tuple((float(f), float(a)) for f, a in self.mains),
         }
-        if isinstance(self.pipeline, dict):
-            normalized["pipeline"] = PipelineConfig(**self.pipeline)
-        elif not isinstance(self.pipeline, PipelineConfig):
-            raise TypeError("pipeline must be a PipelineConfig or a dict of its keys")
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
         return json_fingerprint(asdict(self))
+
+
+_, _is_integer = INTEGER
+_, _is_real = REAL
+
+
+def _positive(value) -> bool:
+    return _is_real(value) and value > 0
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (tuple, list))
+
+
+def _pairs(kind: str, first, second) -> tuple:
+    return (kind, lambda value: _is_list(value) and all(
+        _is_list(row) and len(row) == 2 and first(row[0]) and second(row[1]) for row in value
+    ))
+
+
+# every field not named below the first line is a finite real number
+_SCENARIO_FIELD_TYPES = {
+    **{f.name: REAL for f in fields(SweepScenario)},
+    **dict.fromkeys(("sample_rate_hz", "duration_s"), ("a positive number", _positive)),
+    **dict.fromkeys(("distances_cm", "speeds_rpm"), (
+        "a non-empty list of positive numbers",
+        lambda value: _is_list(value) and len(value) > 0 and all(map(_positive, value)),
+    )),
+    "trials_per_cell": ("an integer >= 1", lambda value: _is_integer(value) and value >= 1),
+    "master_seed": ("an integer >= 0", lambda value: _is_integer(value) and value >= 0),
+    "sensor_positions_cm": _pairs("a list of [x, y] pairs", _is_real, _is_real),
+    "harmonic_shape": _pairs("a list of [order, amplitude] pairs", _is_integer, _is_real),
+    "mains": _pairs("a list of [frequency, amplitude] pairs", _is_real, _is_real),
+    "use_noise_reference": ("true or false", lambda value: isinstance(value, bool)),
+    "pipeline": ("a PipelineConfig", lambda value: isinstance(value, PipelineConfig)),
+}
 
 
 def default_sweep_scenario(**overrides) -> SweepScenario:
@@ -241,8 +280,52 @@ def _scaled_profile(
     return MotorProfile.from_rpm(rpm, harmonics=harmonics)
 
 
-def _trial_error_pct(estimate_rpm_value: float, true_rpm: float) -> float:
-    return min(ERROR_CAP_PCT, abs(estimate_rpm_value - true_rpm) / true_rpm * 100.0)
+METHODS = ("pipeline", "autocorrelation", "peak")
+
+
+def _sweep_trial(
+    scenario: SweepScenario,
+    rpm: float,
+    distance: float,
+    seed: tuple[int, ...],
+    setup: tuple[ArrayGeometry, NoiseProfile, CoilParams, PpspWeights | None],
+) -> dict[str, float]:
+    """Simulate one trial and read it with every method; a read that fails
+    is NaN.  ``setup`` is what the sweep builds once: (geometry, noise,
+    coil, network weights or None).
+
+    The methods look up ``estimate_rpm``, the baselines and
+    ``simulate_array`` at call time, so a wrapper installed on this module
+    sees every call."""
+    geometry, noise, coil, weights = setup
+    sim_seed, profile_seed, ref_seed = (
+        int(s) for s in np.random.SeedSequence(seed).generate_state(3)
+    )
+    position = (0.0, float(distance))
+    profile = _scaled_profile(rpm, scenario, coil, np.random.default_rng(profile_seed))
+    capture = (geometry, noise, coil, scenario.duration_s, scenario.sample_rate_hz)
+    trace = simulate_array(profile.at_position(position), *capture, sim_seed)
+    reference = None
+    if scenario.use_noise_reference:
+        silent = MotorProfile.from_rpm(rpm, harmonics=[(1, 0.0, 0.0)])
+        noise_only = simulate_array(silent.at_position(position), *capture, ref_seed)
+        reference = NoiseReference.from_signal(noise_only.channels[0])
+    raw = trace.channels[0]
+    band = (scenario.sample_rate_hz, scenario.baseline_f_min_hz, scenario.baseline_f_max_hz)
+    reads = {
+        "pipeline": lambda: estimate_rpm(
+            trace, scenario.pipeline, noise_reference=reference, weights=weights
+        ).rpm,
+        "autocorrelation": lambda: autocorrelation_baseline(raw, *band),
+        "peak": lambda: peak_detection_baseline(raw, *band),
+    }
+    values = {}
+    for method, read in reads.items():
+        try:
+            values[method] = read()
+        except (PipelineError, ValueError):
+            values[method] = math.nan
+    return values
 
 
 def run_distance_sweep(
@@ -263,116 +346,45 @@ def run_distance_sweep(
     weights = None
     if pipeline.detector == "network" and pipeline.weights_path is not None:
         weights = PpspWeights.load(pipeline.weights_path)
-    coil = CoilParams()
+    geometry = ArrayGeometry(
+        sensor_positions_cm=scenario.sensor_positions_cm,
+        effective_speed_cm_s=scenario.effective_speed_cm_s,
+        reference_distance_cm=scenario.reference_distance_cm,
+        amplitude_falloff_exponent=scenario.amplitude_falloff_exponent,
+    )
     noise = NoiseProfile(
         mains_components=scenario.mains,
         broadband_sigma=scenario.broadband_sigma_v,
         shared_fraction=scenario.shared_fraction,
     )
-    methods = ("pipeline", "autocorrelation", "peak")
-    errors: dict[str, list[list[float]]] = {m: [] for m in methods}
-    dropped = {m: 0 for m in methods}
+    setup = (geometry, noise, CoilParams(), weights)
+    # errors[method][distance index] holds one error per (speed, trial)
+    errors = {m: [[] for _ in scenario.distances_cm] for m in METHODS}
+    dropped = dict.fromkeys(METHODS, 0)
     trial_rows: list[tuple] = []
-    n_samples = int(round(scenario.duration_s * scenario.sample_rate_hz))
-    for di, distance in enumerate(scenario.distances_cm):
-        cell_errors: dict[str, list[float]] = {m: [] for m in methods}
-        for si, rpm in enumerate(scenario.speeds_rpm):
-            for trial in range(scenario.trials_per_cell):
-                ss = np.random.SeedSequence(
-                    (scenario.master_seed, di, si, trial)
-                )
-                sim_seed, profile_seed, ref_seed = (
-                    int(s) for s in ss.generate_state(3)
-                )
-                rng = np.random.default_rng(profile_seed)
-                profile = _scaled_profile(rpm, scenario, coil, rng)
-                geometry = ArrayGeometry(
-                    sensor_positions_cm=scenario.sensor_positions_cm,
-                    effective_speed_cm_s=scenario.effective_speed_cm_s,
-                    reference_distance_cm=scenario.reference_distance_cm,
-                    amplitude_falloff_exponent=scenario.amplitude_falloff_exponent,
-                )
-                profile = profile.at_position((0.0, float(distance)))
-                trace = simulate_array(
-                    profile,
-                    geometry,
-                    noise,
-                    coil,
-                    scenario.duration_s,
-                    scenario.sample_rate_hz,
-                    sim_seed,
-                )
-                reference = None
-                if scenario.use_noise_reference:
-                    silent = MotorProfile.from_rpm(
-                        rpm, harmonics=[(1, 0.0, 0.0)]
-                    ).at_position((0.0, float(distance)))
-                    noise_only = simulate_array(
-                        silent,
-                        geometry,
-                        noise,
-                        coil,
-                        scenario.duration_s,
-                        scenario.sample_rate_hz,
-                        ref_seed,
-                    )
-                    reference = NoiseReference.from_signal(noise_only.channels[0])
-                results: dict[str, tuple[float, bool]] = {}
-                try:
-                    est = estimate_rpm(
-                        trace, pipeline, noise_reference=reference, weights=weights
-                    )
-                    results["pipeline"] = (est.rpm, False)
-                except (PipelineError, ValueError):
-                    results["pipeline"] = (float("nan"), True)
-                raw = trace.channels[0]
-                try:
-                    results["autocorrelation"] = (
-                        autocorrelation_baseline(
-                            raw,
-                            scenario.sample_rate_hz,
-                            scenario.baseline_f_min_hz,
-                            scenario.baseline_f_max_hz,
-                        ),
-                        False,
-                    )
-                except ValueError:
-                    results["autocorrelation"] = (float("nan"), True)
-                try:
-                    results["peak"] = (
-                        peak_detection_baseline(
-                            raw,
-                            scenario.sample_rate_hz,
-                            scenario.baseline_f_min_hz,
-                            scenario.baseline_f_max_hz,
-                        ),
-                        False,
-                    )
-                except ValueError:
-                    results["peak"] = (float("nan"), True)
-                for method in methods:
-                    value, failed = results[method]
-                    if failed:
-                        err = ERROR_CAP_PCT
-                        dropped[method] += 1
-                    else:
-                        err = _trial_error_pct(value, rpm)
-                    cell_errors[method].append(err)
-                    trial_rows.append(
-                        (distance, rpm, trial, method, value, err, int(failed))
-                    )
-        for method in methods:
-            errors[method].append(cell_errors[method])
+    grid = itertools.product(
+        enumerate(scenario.distances_cm),
+        enumerate(scenario.speeds_rpm),
+        range(scenario.trials_per_cell),
+    )
+    for (di, distance), (si, rpm), trial in grid:
+        seed = (scenario.master_seed, di, si, trial)
+        values = _sweep_trial(scenario, rpm, distance, seed, setup)
+        for method, value in values.items():
+            failed = math.isnan(value)
+            err = ERROR_CAP_PCT if failed else min(ERROR_CAP_PCT, abs(value - rpm) / rpm * 100.0)
+            dropped[method] += failed
+            errors[method][di].append(err)
+            trial_rows.append((distance, rpm, trial, method, value, err, int(failed)))
     mean_error = {
-        m: [float(np.mean(cell)) for cell in errors[m]] for m in methods
+        m: [float(np.mean(cell)) for cell in errors[m]] for m in METHODS
     }
-    scenario_doc = asdict(scenario)
     result = BenchResult(
         distances_cm=[float(d) for d in scenario.distances_cm],
         mean_error_pct=mean_error,
         dropped=dropped,
-        fingerprint=json_fingerprint(scenario_doc),
-        scenario=scenario_doc,
+        fingerprint=scenario.fingerprint(),
+        scenario=asdict(scenario),
     )
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -388,7 +400,7 @@ def run_distance_sweep(
             (
                 (distance, method, result.mean_error_pct[method][i])
                 for i, distance in enumerate(result.distances_cm)
-                for method in methods
+                for method in METHODS
             ),
         )
         write_json(out_dir / "summary.json", asdict(result))

@@ -33,29 +33,18 @@ class MotorProfile:
     harmonics : list of (order, amplitude, phase)
         Field harmonic components (k, D_k, phi_k); the field contribution of
         component k is D_k * cos(2*pi*k*t/P - phi_k).
-    dc_offset : float
-        Static field component.  It induces no voltage.
-    pole_count : int
-        Number of magnetic poles; the dominant harmonic sits at
-        pole_count / period_s.
     position_cm : tuple of float
         Source location in the sensing plane, centimeters.
     """
 
     period_s: float
     harmonics: list[tuple[int, float, float]]
-    dc_offset: float = 0.0
-    pole_count: int = 2
     position_cm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         self.period_s = float(self.period_s)
-        self.dc_offset = float(self.dc_offset)
-        self.pole_count = int(self.pole_count)
         if not (self.period_s > 0.0 and math.isfinite(self.period_s)):
             raise ValueError("period_s must be positive and finite")
-        if self.pole_count < 1:
-            raise ValueError("pole_count must be >= 1")
         orders = [k for k, _, _ in self.harmonics]
         if any(int(k) != k or k < 1 for k in orders):
             raise ValueError("harmonic orders must be integers >= 1")

@@ -500,3 +500,23 @@ class TestBench:
             "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("trials_per_cell=0", "trials_per_cell"),
+            ("trials_per_cell=1.5", "trials_per_cell"),
+            ("master_seed=1.5", "master_seed"),
+            ("distances_cm=[]", "distances_cm"),
+            ('use_noise_reference="no"', "use_noise_reference"),
+        ],
+    )
+    def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, entry, key):
+        out = tmp_path / "x"
+        code = main([
+            "bench", "--set", "distances_cm=[5]", "--set", "speeds_rpm=[3000]",
+            "--set", entry, "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{key} must be " in capsys.readouterr().err
+        assert not (out / "trials.csv").exists()

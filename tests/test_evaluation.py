@@ -1,6 +1,7 @@
+import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,45 @@ class TestScenario:
         blob = json.dumps(asdict(default_sweep_scenario()))
         assert isinstance(blob, str)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trials_per_cell": 0},
+            {"trials_per_cell": 1.5},
+            {"trials_per_cell": True},
+            {"master_seed": 1.5},
+            {"master_seed": -1},
+            {"distances_cm": []},
+            {"distances_cm": [5.0, 0.0]},
+            {"speeds_rpm": []},
+            {"speeds_rpm": [3000.0, -60.0]},
+            {"use_noise_reference": "no"},
+            {"use_noise_reference": 1},
+            {"sample_rate_hz": 0.0},
+            {"duration_s": -1.0},
+            {"duration_s": math.inf},
+            {"mains": [[60.0]]},
+            {"harmonic_shape": [[1.5, 1.0]]},
+            {"sensor_positions_cm": [[0.0, "far"]]},
+            {"broadband_sigma_v": "loud"},
+        ],
+        ids=lambda overrides: "-".join(f"{k}={v!r}" for k, v in overrides.items()),
+    )
+    def test_bad_value_is_value_error_naming_its_field(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            SweepScenario(**overrides)
+
+    def test_valid_edge_values_construct(self):
+        # the reduced single-cell scenarios perfbench builds with replace()
+        base = SweepScenario()
+        cell = replace(
+            base, distances_cm=(105.0,), speeds_rpm=(8400.0,), trials_per_cell=1,
+            master_seed=2**32 - 1,
+        )
+        assert cell.master_seed == 2**32 - 1
+        assert SweepScenario(master_seed=0, mains=[], use_noise_reference=False).mains == ()
+
 
 def tiny_scenario(**overrides):
     base = dict(
@@ -236,6 +276,32 @@ class TestDistanceSweep:
         )
         run_distance_sweep(scenario)
         assert loads == [str(path)]
+
+    def test_failed_reads_are_capped_and_counted(self, tmp_path):
+        # f_min_hz=3000 leaves the pipeline no candidate, and a 0.5 Hz floor
+        # asks the autocorrelation for lags longer than the 1 s trace, so
+        # only the peak baseline reads a value
+        scenario = SweepScenario(
+            duration_s=1.0, distances_cm=(5.0, 45.0), speeds_rpm=(3000.0,),
+            trials_per_cell=2, master_seed=42, baseline_f_min_hz=0.5,
+            pipeline=PipelineConfig(f_min_hz=3000.0),
+        )
+        result = run_distance_sweep(scenario, out_dir=tmp_path)
+        assert result.dropped == {"pipeline": 4, "autocorrelation": 4, "peak": 0}
+        assert result.mean_error_pct["pipeline"] == [ERROR_CAP_PCT, ERROR_CAP_PCT]
+        assert result.mean_error_pct["autocorrelation"] == [ERROR_CAP_PCT] * 2
+        rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+        failed = [row for row in rows if row.endswith(",1")]
+        assert len(failed) == 8
+        assert all(",nan,100.0," in row for row in failed)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in ("trials.csv", "aggregate.csv")
+        }
+        assert digests == {
+            "trials.csv": "e91fe61d55c24e84",
+            "aggregate.csv": "9ece91a392546f99",
+        }
 
 
 class TestBenchResult:

@@ -49,7 +49,7 @@ class TestMotorProfile:
         assert p.max_harmonic_hz == pytest.approx(300.0)
 
     def test_dict_roundtrip(self):
-        p = make_profile(rpm=4321.0, dc_offset=0.2, position_cm=(1.0, -2.0))
+        p = make_profile(rpm=4321.0, position_cm=(1.0, -2.0))
         q = MotorProfile(**json.loads(json.dumps(asdict(p))))
         assert q == p
 
