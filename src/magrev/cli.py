@@ -92,11 +92,9 @@ def _apply_sets(doc: dict, entries) -> dict:
         path, value = _parse_set(entry)
         node = doc
         for part in path[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
         node[path[-1]] = value
     return doc
 

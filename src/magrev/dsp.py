@@ -1,10 +1,9 @@
 """Spectral denoising, delay-and-sum enhancement, and PSD utilities.
 
-The enhancement chain mirrors how the capture hardware is used: each channel
-is divided in the frequency domain by the magnitude spectrum of a background
-capture (with a unity floor so quiet bins pass through untouched), channels
-are aligned to the first one by cross-correlation, and the aligned channels
-are summed.  Welch power spectra then feed the detector and estimator stages.
+Each channel's spectrum is divided by a background capture's magnitudes,
+floored at 1 so quiet bins pass untouched; the channels are then aligned to
+the first by a block-wise cross-correlation and summed.  Welch power spectra
+feed the detector and estimator stages.
 """
 
 from __future__ import annotations
@@ -120,9 +119,10 @@ class PowerSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _denoised_spectra(channels: np.ndarray, reference: NoiseReference) -> np.ndarray:
-    """rfft of each channel (the last axis) divided by the floored background
-    magnitudes."""
+def _denoised(channels: np.ndarray, reference: NoiseReference) -> np.ndarray:
+    """Each channel (the last axis) with its spectrum divided by the floored
+    background magnitudes.  A reference at or below the floor in every bin
+    divides by exactly 1, so the channels come back as they are."""
     if channels.shape[-1] < 2:
         raise ValueError("channel must be a 1-D signal")
     expected = channels.shape[-1] // 2 + 1
@@ -130,7 +130,10 @@ def _denoised_spectra(channels: np.ndarray, reference: NoiseReference) -> np.nda
         raise ValueError(
             f"noise reference has {reference.n_bins} bins, signal needs {expected}"
         )
-    return np.fft.rfft(channels, axis=-1) / np.maximum(reference.magnitudes, SPECTRAL_FLOOR)
+    if np.all(reference.magnitudes <= SPECTRAL_FLOOR):
+        return channels
+    spectra = np.fft.rfft(channels, axis=-1) / np.maximum(reference.magnitudes, SPECTRAL_FLOOR)
+    return np.fft.irfft(spectra, n=channels.shape[-1], axis=-1)
 
 
 def spectral_denoise(channel: np.ndarray, reference: NoiseReference) -> np.ndarray:
@@ -138,49 +141,51 @@ def spectral_denoise(channel: np.ndarray, reference: NoiseReference) -> np.ndarr
 
     Bins whose background magnitude is below 1 are divided by 1 instead, so
     the floor never amplifies.  Only magnitudes are divided; the channel's
-    phase is preserved exactly.  A unity reference is an identity within FFT
-    round-off.
+    phase is preserved exactly.  A reference at or below the floor in every
+    bin returns a copy of the channel, bit for bit.
     """
     x = np.asarray(channel, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("channel must be a 1-D signal")
-    return np.fft.irfft(_denoised_spectra(x, reference), n=x.size)
+    out = _denoised(x, reference)
+    return x.copy() if out is x else out
 
 
-def _best_lag(
-    a: np.ndarray, b: np.ndarray, spec_a: np.ndarray, spec_b: np.ndarray, max_lag: int
-) -> int:
-    """Lag in [-max_lag, max_lag] maximizing sum_t a[t + L] * b[t], given the
-    rfft spectra of ``a`` and ``b``.
+def _block_spectra(x: np.ndarray, lead: int, width: int, block: int, size: int) -> np.ndarray:
+    """``size``-point rffts of x[j * block - lead :][:width] for every block
+    j of x, reading zeros outside x."""
+    count = -(-x.size // block)
+    padded = np.zeros((count - 1) * block + width)
+    padded[lead : lead + x.size] = x
+    return np.fft.rfft(sliding_window_view(padded, width)[::block], n=size, axis=-1)
 
-    One inverse transform gives the circular correlation; lag L of it also
-    sums the |L| products that wrap around the ends, which are subtracted to
-    leave the linear correlation.  Values within round-off of the peak tie,
-    and ties resolve to the smallest |L| (then the smaller L).
+
+def _lag_search(b: np.ndarray, max_lag: int):
+    """The function ``a -> estimate_delay(a, b, max_lag)``.
+
+    ``b`` is cut into blocks and transformed once.  Each block meets the
+    stretch of ``a`` that the lags reach in one power-of-two transform long
+    enough that nothing wraps; the cross spectra, summed over blocks, go
+    through one short inverse (sectioned correlation, Stockham 1966).
     """
-    n = a.size
-    if not 0 <= max_lag < n // 2:
+    if not 0 <= max_lag < b.size // 2:
         raise ValueError("max_lag must satisfy 0 <= max_lag < len/2")
-    if not (np.any(a) and np.any(b)):
-        raise ValueError("cannot estimate a delay from zero-energy input")
-    if max_lag == 0:
-        return 0
     k = max_lag
-    circular = np.fft.irfft(spec_a * np.conj(spec_b), n=n)
-    # wrapped products at lag L > 0: a[u] * b[n - L + u] for u < L, and the
-    # mirror image b[t] * a[n - L + t] at lag -L
-    wrap_pos = np.convolve(a[:k], b[n - k :][::-1])[:k]
-    wrap_neg = np.convolve(b[:k], a[n - k :][::-1])[:k]
-    window = np.concatenate(
-        (
-            circular[n - k :] - wrap_neg[::-1],
-            circular[:1],
-            circular[1 : k + 1] - wrap_pos,
-        )
-    )
-    tolerance = 1e-12 * math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
-    hits = np.flatnonzero(window >= window.max() - tolerance) - k
-    return int(min(hits, key=lambda lag: (abs(int(lag)), int(lag))))
+    # transforms of 8k to 16k points, or one block for a short signal
+    block = min((1 << max(6, (8 * k).bit_length())) - 2 * k, b.size)
+    size = 1 << (block + 2 * k - 1).bit_length()
+    ref = np.conj(_block_spectra(b, 0, block, block, size))
+
+    def best(a: np.ndarray) -> int:
+        if not (np.any(a) and np.any(b)):
+            raise ValueError("cannot estimate a delay from zero-energy input")
+        cross = (_block_spectra(a, k, block + 2 * k, block, size) * ref).sum(axis=0)
+        window = np.fft.irfft(cross, n=size)[: 2 * k + 1]
+        tolerance = 1e-12 * math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+        hits = np.flatnonzero(window >= window.max() - tolerance) - k
+        return int(min(hits, key=lambda lag: (abs(int(lag)), int(lag))))
+
+    return best
 
 
 def estimate_delay(s_i: np.ndarray, s_ref: np.ndarray, max_lag: int) -> int:
@@ -195,21 +200,17 @@ def estimate_delay(s_i: np.ndarray, s_ref: np.ndarray, max_lag: int) -> int:
     b = np.asarray(s_ref, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
         raise ValueError("sequences must be 1-D and of equal length")
-    return _best_lag(a, b, np.fft.rfft(a), np.fft.rfft(b), max_lag)
+    return _lag_search(b, max_lag)(a)
 
 
 def shift_signal(x: np.ndarray, lag: int) -> np.ndarray:
     """Return x advanced by ``lag`` samples (out[t] = x[t + lag]), zero-filled
     at the edges."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
     out = np.zeros_like(x)
-    if lag >= n or lag <= -n:
-        return out
-    if lag >= 0:
-        out[: n - lag] = x[lag:]
-    else:
-        out[-lag:] = x[: n + lag]
+    kept = x.size - abs(lag)
+    if kept > 0:
+        out[max(-lag, 0) :][:kept] = x[max(lag, 0) :][:kept]
     return out
 
 
@@ -220,15 +221,15 @@ def delay_and_sum(
 
     A single-channel trace returns its denoised channel.  Coherent content
     gains a factor of n_channels in amplitude while independent noise gains
-    only sqrt(n_channels).  Each channel is transformed once; the same
-    spectra serve the denoising and the alignment.
+    only sqrt(n_channels).  A reference at the floor skips the transforms,
+    and channel 0 is transformed once for every other channel's lag search.
     """
-    spectra = _denoised_spectra(trace.channels, reference)
-    denoised = np.fft.irfft(spectra, n=trace.n_samples, axis=-1)
+    denoised = _denoised(trace.channels, reference)
     out = denoised[0].copy()
-    for i in range(1, trace.n_channels):
-        lag = _best_lag(denoised[i], denoised[0], spectra[i], spectra[0], max_lag)
-        out += shift_signal(denoised[i], lag)
+    if trace.n_channels > 1:
+        best_lag = _lag_search(denoised[0], max_lag)
+        for channel in denoised[1:]:
+            out += shift_signal(channel, best_lag(channel))
     return out
 
 

@@ -177,15 +177,16 @@ class SweepScenario:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
-        """JSON lists become the tuples above, and a ``pipeline`` dict
-        becomes a :class:`PipelineConfig`.  A value of the wrong kind or out
-        of range is a ValueError that names its field."""
+        """Real fields become floats, JSON lists the tuples above, and a
+        ``pipeline`` dict a :class:`PipelineConfig`.  A value of the wrong kind
+        or out of range is a ValueError that names its field."""
         if isinstance(self.pipeline, dict):
             object.__setattr__(self, "pipeline", PipelineConfig(**self.pipeline))
         elif not isinstance(self.pipeline, PipelineConfig):
             raise TypeError("pipeline must be a PipelineConfig or a dict of its keys")
         check_field_types(self, _SCENARIO_FIELD_TYPES)
         normalized = {
+            **{f.name: float(getattr(self, f.name)) for f in fields(self) if f.type == "float"},
             "distances_cm": tuple(float(d) for d in self.distances_cm),
             "speeds_rpm": tuple(float(s) for s in self.speeds_rpm),
             "sensor_positions_cm": tuple(

@@ -168,9 +168,18 @@ class TestLogNormalize:
 
 class TestNoiseReference:
     def test_unity_reference_is_identity(self):
+        # dividing by the floor of 1 is exact, so a reference at or below it
+        # in every bin runs no transform: the output is the input bit for
+        # bit, in a fresh array
         x = tone(97.0, 8192.0, 8192, amp=0.3) + 0.1
-        out = spectral_denoise(x, NoiseReference.unity(x.size))
-        np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
+        for reference in (
+            NoiseReference.unity(x.size),
+            NoiseReference(magnitudes=np.full(4097, 0.5)),
+            NoiseReference(magnitudes=np.linspace(0.0, 1.0, 4097)),
+        ):
+            out = spectral_denoise(x, reference)
+            np.testing.assert_array_equal(out, x)
+            assert out is not x
 
     def test_smoothed_reference_has_no_deep_dips(self):
         # dividing by a raw transform of a noise capture amplifies its
@@ -289,6 +298,46 @@ class TestDelayEstimation:
             assert estimate_delay(a, b, 8) == 0  # out of reach: every lag scores 0
             assert estimate_delay(a, b, 0) == 0
 
+    def test_matches_exhaustive_scan_across_blocks(self):
+        # long signals are cut into many transform blocks, the last one
+        # ragged; windows run from one lag to nearly half the signal
+        rng = np.random.default_rng(29)
+        for n, max_lag in ((4000, 1), (4321, 82), (20000, 82), (9999, 4998), (6007, 5)):
+            a = rng.normal(size=n)
+            b = rng.normal(size=n)
+            assert estimate_delay(a, b, max_lag) == self.exhaustive_best_lag(a, b, max_lag)
+            for lag in (-max_lag, max_lag):
+                # a copy of b moved to either edge of the window
+                moved = shift_signal(b, -lag) + 0.5 * rng.normal(size=n)
+                assert estimate_delay(moved, b, max_lag) == lag
+        # b constant and a's spikes within reach of every lag: each lag
+        # scores the spike count, so a sample counted twice or missed where
+        # two blocks meet would break the tie, which resolves to 0
+        for n, max_lag in ((4000, 1), (20000, 82), (9999, 4998)):
+            a = np.zeros(n)
+            a[rng.integers(max_lag, n - max_lag, size=200)] = 1.0
+            assert estimate_delay(a, np.ones(n), max_lag) == 0
+            assert estimate_delay(np.ones(n), a, max_lag) == 0
+        # sparse small-integer signals: a few spikes of b reappear in a at
+        # lags drawn from the window edges and inside it, so exact ties
+        # between lags are common and the peak often sits on an edge
+        ties = edges = 0
+        for _ in range(40):
+            n = int(rng.integers(4000, 20001))
+            max_lag = int(rng.choice([1, 82, n // 2 - 1]))
+            spots = rng.integers(max_lag, n - max_lag, size=3)
+            lags = rng.choice([-max_lag, max_lag, int(rng.integers(-max_lag, max_lag + 1))], 3)
+            a = np.zeros(n)
+            b = np.zeros(n)
+            b[spots] = 1.0
+            a[spots + lags] = rng.integers(1, 3, size=3)
+            expected = self.exhaustive_best_lag(a, b, max_lag)
+            assert estimate_delay(a, b, max_lag) == expected
+            scores = np.correlate(a, b, "full")[n - 1 - max_lag : n + max_lag]
+            ties += int(np.count_nonzero(scores == scores.max()) > 1)
+            edges += abs(expected) == max_lag
+        assert ties > 5 and edges > 5
+
     def test_recovers_known_shift(self):
         rng = np.random.default_rng(8)
         base = rng.normal(size=2048)
@@ -351,6 +400,21 @@ class TestDelayAndSum:
         np.testing.assert_allclose(
             out[interior], 4.0 * base[interior], rtol=1e-9, atol=1e-9
         )
+
+    def test_reference_at_the_floor_sums_the_raw_channels(self):
+        # the channels are not transformed, so the sum is exact
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=5000)
+        chans = np.stack(
+            [np.roll(base, lag) + 0.3 * rng.normal(size=5000) for lag in (0, 4, -30, 77)]
+        )
+        trace = SensorTrace(channels=chans, sample_rate_hz=1000.0)
+        for mags in (np.ones(2501), np.full(2501, 0.5)):
+            out = delay_and_sum(trace, NoiseReference(magnitudes=mags), max_lag=82)
+            expected = chans[0].copy()
+            for x in chans[1:]:
+                expected += shift_signal(x, estimate_delay(x, chans[0], 82))
+            np.testing.assert_array_equal(out, expected)
 
     def test_single_channel_passthrough(self):
         x = tone(61.0, 4096.0, 4096)

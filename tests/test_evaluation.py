@@ -132,6 +132,13 @@ class TestScenario:
         # meta.json and BenchResult carry it; a change orphans old results
         assert SweepScenario().fingerprint() == "bb72fb091ebb4e46"
 
+    def test_integer_spelling_of_a_real_keeps_the_pinned_fingerprint(self):
+        # `--set duration_s=1` and `duration_s=1.0` describe the same sweep
+        spelled = SweepScenario(sample_rate_hz=8192, duration_s=1, target_peak_rpm=3000)
+        assert spelled == SweepScenario()
+        assert spelled.fingerprint() == "bb72fb091ebb4e46"
+        assert type(spelled.duration_s) is float
+
     def test_json_lists_and_pipeline_dict_normalize(self):
         a = SweepScenario(
             distances_cm=[5, 25], sensor_positions_cm=[[-4, 0], [4, 0]],

@@ -1,15 +1,17 @@
-"""The array-based coarse stage, the zoomed fine stage, the multi-motor path
-and the PPSP inference and training passes against plain reference
-implementations, kept here as oracles.
+"""The array-based coarse stage, the zoomed fine stage, the multi-motor path,
+delay-and-sum and the PPSP inference and training passes against plain
+reference implementations, kept here as oracles.
 
 The oracles are the straightforward per-candidate, per-harmonic loops, the
 fully zero-padded Welch transform, the bin-by-bin clearing walk, the
+full-length lag search with its wrapped products subtracted, the
 ``np.add.at`` resize gradient and the unfolded network on an ``einsum``
 convolution, forward and backward.  The library must match the estimator
-oracles bit for bit: scores, picks, flags, cleared maps and the returned
-frequencies.  The folded network sums in another order, so its outputs must
-match their oracle within 1e-12, and its loss and gradients within 1e-10 of
-each gradient tensor's largest magnitude.
+and delay-and-sum oracles bit for bit: scores, picks, flags, cleared maps,
+lags, aligned sums and the returned frequencies.  The folded network sums
+in another order, so its outputs must match their oracle within 1e-12, and
+its loss and gradients within 1e-10 of each gradient tensor's largest
+magnitude.
 """
 
 import math
@@ -25,6 +27,7 @@ from magrev.dsp import (
     default_segment_len,
     delay_and_sum,
     log_normalize,
+    shift_signal,
     welch_psd,
 )
 from magrev.estimator import (
@@ -163,6 +166,23 @@ def loop_clear(probs, freqs, fine, delta_f, threshold):
             out[lo:hi] = 0.0
         k += 1
     return out
+
+
+def wrap_corrected_lag(a, b, spec_a, spec_b, max_lag):
+    """Lag in [-max_lag, max_lag] maximizing sum_t a[t + L] * b[t], from one
+    full-length circular correlation of the spectra ``spec_a`` and
+    ``spec_b``: lag L of it also sums the |L| products that wrap around the
+    ends, which are subtracted.  Same tolerance and tie rule as the library."""
+    n, k = a.size, max_lag
+    circular = np.fft.irfft(spec_a * np.conj(spec_b), n=n)
+    wrap_pos = np.convolve(a[:k], b[n - k :][::-1])[:k]
+    wrap_neg = np.convolve(b[:k], a[n - k :][::-1])[:k]
+    window = np.concatenate(
+        (circular[n - k :] - wrap_neg[::-1], circular[:1], circular[1 : k + 1] - wrap_pos)
+    )
+    tolerance = 1e-12 * math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+    hits = np.flatnonzero(window >= window.max() - tolerance) - k
+    return int(min(hits, key=lambda lag: (abs(int(lag)), int(lag))))
 
 
 def loop_multi(trace, count, config):
@@ -537,6 +557,44 @@ class TestPipelineAgainstLoops:
                 (e.rpm, e.coarse_hz, e.flags) for e in estimate_rpm_multi(trace, 3, config)
             ]
             assert got == loop_multi(trace, 3, config)
+
+
+class TestDelayAndSumAgainstWrapCorrection:
+    @pytest.mark.parametrize("duration_s", [1.0, 8.0])
+    def test_lags_and_sums_equal(self, duration_s):
+        # the oracle always takes the full denoising round trip and aligns
+        # on its spectra; the library skips the round trip for a reference
+        # at the floor and sums block correlations, and must pick the same
+        # lags for the same 4-coil captures
+        rng = np.random.default_rng(61 if duration_s == 1.0 else 67)
+        max_lag = int(round(PipelineConfig().max_lag_s * 8192.0))
+        lags_seen = set()
+        for _ in range(2):
+            trace = mixture(rng, tuple(rng.uniform(20.0, 140.0, size=2)), duration_s)
+            background = mixture(rng, tuple(rng.uniform(20.0, 140.0, size=2)), duration_s)
+            references = (
+                NoiseReference.unity(trace.n_samples),
+                NoiseReference.from_signal(background.channels[0]),
+            )
+            assert references[1].magnitudes.max() > 1.0
+            for reference in references:
+                floored = np.maximum(reference.magnitudes, 1.0)
+                spectra = np.fft.rfft(trace.channels, axis=-1) / floored
+                round_trip = np.fft.irfft(spectra, n=trace.n_samples, axis=-1)
+                lags = [
+                    wrap_corrected_lag(x, round_trip[0], spec, spectra[0], max_lag)
+                    for x, spec in zip(round_trip[1:], spectra[1:])
+                ]
+                lags_seen.update(lags)
+                at_floor = reference.magnitudes.max() <= 1.0
+                channels = trace.channels if at_floor else round_trip
+                expected = channels[0].copy()
+                for x, lag in zip(channels[1:], lags):
+                    expected += shift_signal(x, lag)
+                np.testing.assert_array_equal(
+                    delay_and_sum(trace, reference, max_lag), expected
+                )
+        assert len(lags_seen) > 3
 
 
 class TestClearingAgainstLoop:
