@@ -10,8 +10,9 @@ Conventions shared by all subcommands:
 
 * ``--config PATH`` loads a JSON document; ``--set key=value`` (repeatable)
   overrides single entries, with dots for nesting (``pipeline.gamma=100``).
-  Values parse as JSON, falling back to plain strings.  Each section goes
-  to its dataclass constructor, so an unknown or invalid key exits 2.
+  Values parse as JSON, falling back to plain strings.  Every key is
+  checked against its section's table of field kinds (``magrev.sensor_io``)
+  before anything runs, so an unknown or invalid key exits 2 and is named.
 * commands that draw randomness require ``--seed``; given the same seed and
   config they write byte-identical outputs.
 * ``--out DIR`` names the output directory (created if needed); every run
@@ -25,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .detector import load_training_set, synthesize_training_set, train
@@ -39,13 +40,18 @@ from .estimator import (
     estimate_rpm_multi,
 )
 from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
-from .ppsp import INTEGER, REAL, PpspConfig, TrainingDivergedError
+from .ppsp import PpspConfig, TrainingDivergedError
 from .sensor_io import (
+    OBJECT,
+    check_fields,
+    integer,
     json_fingerprint,
+    list_of,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
     read_json,
+    real,
     save_trace_csv,
     save_trace_wav,
     write_json,
@@ -159,18 +165,23 @@ def _keys(cls) -> list[str]:
     return sorted(f.name for f in fields(cls))
 
 
+def _check_keys(doc: dict, kinds: dict, section: str) -> None:
+    try:
+        check_fields(doc, kinds)
+    except ValueError as exc:
+        raise _ConfigError(f"{section} key {exc}") from exc
+
+
 def _pipeline_config(args) -> tuple[PipelineConfig, dict]:
-    doc = _load_json_config(args.config)
-    doc = _apply_sets(doc, args.set)
+    doc = _apply_sets(_load_json_config(args.config), args.set)
+    if args.weights is not None:
+        # passing weights means the network detector, unless the config
+        # said otherwise explicitly
+        doc = {"detector": "network", **doc, "weights_path": args.weights}
     try:
         config = PipelineConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise _ConfigError(f"bad pipeline config: {exc}") from exc
-    if args.weights is not None:
-        # passing weights means the network detector, unless the config
-        # said otherwise explicitly
-        detector = doc.get("detector", "network")
-        config = replace(config, weights_path=args.weights, detector=detector)
     return config, asdict(config)
 
 
@@ -185,21 +196,24 @@ def _write_meta(out: Path, command: str, doc: dict) -> None:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+_SIMULATE_FIELDS = {
+    **dict.fromkeys(("motor", "geometry", "noise", "coil"), OBJECT),
+    "motors": list_of(OBJECT, non_empty=True),
+    **dict.fromkeys(("duration_s", "sample_rate_hz"), real("> 0")),
+}
+
 
 def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
-    doc = _load_json_config(args.config)
-    doc = _apply_sets(doc, args.set)
-    if not doc:
-        raise _ConfigError("simulate needs --config with at least a 'motor' section")
-    try:
-        parsed = _parse_sensing_doc(doc)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-    motors = parsed["motors"]
-    geometry = parsed["geometry"]
-    noise = parsed["noise"]
-    coil = parsed["coil"]
+    doc = _apply_sets(_load_json_config(args.config), args.set)
+    _check_keys(doc, _SIMULATE_FIELDS, "simulate")
+    if "motor" not in doc and "motors" not in doc:
+        raise _ConfigError("simulate needs --config with a 'motor' or 'motors' section")
+    parsed = parse_sensing_config(doc)
+    motors = parsed.get("motors") or [parsed["motor"]]
+    geometry = parsed.get("geometry") or ArrayGeometry([(0.0, 0.0)])
+    noise = parsed.get("noise") or NoiseProfile()
+    coil = parsed.get("coil") or CoilParams()
     duration = float(args.duration if args.duration is not None else doc.get("duration_s", 1.0))
     fs = float(args.fs if args.fs is not None else doc.get("sample_rate_hz", 8192.0))
     try:
@@ -226,33 +240,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_sensing_doc(doc: dict) -> dict:
-    """Typed sections with defaults filled in for the optional ones."""
-    parsed = parse_sensing_config(doc)
-    motors = parsed.get("motors")
-    if motors is None:
-        motor = parsed.get("motor")
-        if motor is None:
-            raise ValueError("config needs a 'motor' or 'motors' section")
-        motors = [motor]
-    return {
-        "motors": motors,
-        "geometry": parsed.get("geometry") or ArrayGeometry([(0.0, 0.0)]),
-        "noise": parsed.get("noise") or NoiseProfile(),
-        "coil": parsed.get("coil") or CoilParams(),
-    }
-
-
 def _cmd_denoise(args) -> int:
+    config, config_doc = _pipeline_config(args)
     trace = _load_trace(args.trace)
     reference = _load_reference(args.reference, trace.n_samples)
-    max_lag = int(round(args.max_lag_s * trace.sample_rate_hz))
+    max_lag = int(round(config.max_lag_s * trace.sample_rate_hz))
     try:
         enhanced = delay_and_sum(trace, reference, max_lag=max_lag)
     except ValueError as exc:
         raise PipelineError("enhance", str(exc)) from exc
     try:
-        segment = default_segment_len(trace.sample_rate_hz, enhanced.size)
+        segment = config.welch_segment or default_segment_len(trace.sample_rate_hz, enhanced.size)
         spectrum = welch_psd(enhanced, trace.sample_rate_hz, segment_len=segment)
     except ValueError as exc:
         raise PipelineError("spectrum", str(exc)) from exc
@@ -268,7 +266,7 @@ def _cmd_denoise(args) -> int:
         {
             "trace": str(args.trace),
             "reference": str(args.reference) if args.reference else None,
-            "max_lag_s": args.max_lag_s,
+            "pipeline": config_doc,
             "segment_len": segment,
         },
     )
@@ -317,35 +315,21 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-# top-level training keys: kind, lowest value, whether that value is allowed
-_TRAINING_KEYS = {
-    "epochs": (INTEGER, 0, True),
-    "batch_size": (INTEGER, 1, True),
-    "count": (INTEGER, 1, True),
-    "learning_rate": (REAL, 0, False),
-    "dice_eps": (REAL, 0, True),
+_TRAINING_FIELDS = {
+    "network": OBJECT,
+    "epochs": integer(">= 0"),
+    "batch_size": integer(">= 1"),
+    "count": integer(">= 1"),
+    "learning_rate": real("> 0"),
+    "dice_eps": real(">= 0"),
 }
-
-
-def _check_training_keys(doc: dict) -> None:
-    for key, ((kind, accepts), low, inclusive) in _TRAINING_KEYS.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        if not (accepts(value) and (value >= low if inclusive else value > low)):
-            bound = f">= {low}" if inclusive else f"> {low}"
-            raise _ConfigError(f"training key {key} must be {kind} {bound}, got {value!r}")
 
 
 def _cmd_train(args) -> int:
     seed = _require_seed(args)
     doc = _load_json_config(args.config)
     doc = _apply_sets(doc, args.set)
-    known = {"network", *_TRAINING_KEYS}
-    unknown = set(doc) - known
-    if unknown:
-        raise _ConfigError(f"unknown training config keys: {sorted(unknown)}")
-    _check_training_keys(doc)
+    _check_keys(doc, _TRAINING_FIELDS, "training")
     try:
         net_config = PpspConfig(**{"seed": seed, **doc.get("network", {})})
     except (TypeError, ValueError) as exc:
@@ -405,16 +389,16 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_SERMAP_FIELDS = dict.fromkeys(
+    ("sample_rate_hz", "duration_s", "speed_rpm", "effective_speed_cm_s", "step_cm"),
+    real("> 0"),
+)
+
+
 def _cmd_sermap(args) -> int:
     doc = _apply_sets({}, args.set)
-    known = {
-        "sample_rate_hz", "duration_s", "speed_rpm", "effective_speed_cm_s",
-        "step_cm",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise _ConfigError(f"unknown sermap keys: {sorted(unknown)}")
-    ser_map = run_ser_map(args.delta_t_ms / 1000.0, **{k: float(v) for k, v in doc.items()})
+    _check_keys(doc, _SERMAP_FIELDS, "sermap")
+    ser_map = run_ser_map(args.delta_t_ms / 1000.0, **doc)
     out = _out_dir(args)
     ser_map.save_csv(out / "sermap.csv")
     _write_meta(
@@ -446,19 +430,18 @@ _SENSING_KEYS_HELP = (
 )
 
 
-def _add_common(sub, *, config=True, seed=False, sets=True):
+def _add_common(sub, *, config=True, seed=False):
     sub.add_argument("--out", required=True, help="output directory")
     if config:
         sub.add_argument("--config", help="JSON configuration file")
     if seed:
         sub.add_argument("--seed", type=int, help="random seed (required)")
-    if sets:
-        sub.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override one config entry (repeatable; dots nest)",
-        )
+    sub.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override one config entry (repeatable; dots nest)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,13 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", type=float, help="sample rate in Hz")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("denoise", help="enhance a capture and write its spectrum")
+    p = sub.add_parser(
+        "denoise",
+        help="enhance a capture and write its spectrum",
+        epilog=_PIPELINE_KEYS_HELP + " denoise reads max_lag_s and welch_segment.",
+    )
     p.add_argument("--trace", required=True, help="input trace (.csv or .wav)")
     p.add_argument("--reference", help="noise reference CSV")
-    p.add_argument("--max-lag-s", type=float, default=0.01,
-                   help="alignment search half-window in seconds")
-    _add_common(p, config=False, sets=False)
-    p.set_defaults(func=_cmd_denoise)
+    _add_common(p)
+    p.set_defaults(func=_cmd_denoise, weights=None)
 
     p = sub.add_parser(
         "detect",
@@ -529,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sermap",
         help="render the two-sensor alignment map",
-        epilog="--set keys: sample_rate_hz, duration_s, speed_rpm, "
-        "effective_speed_cm_s, step_cm.",
+        epilog="--set keys: " + ", ".join(_SERMAP_FIELDS) + ".",
     )
     p.add_argument("--delta-t-ms", type=float, required=True,
                    help="compensation delay in milliseconds")

@@ -42,7 +42,8 @@ from .dsp import (
     welch_psd,
     welch_zoom,
 )
-from .ppsp import INTEGER, REAL, PpspWeights, check_field_types
+from .ppsp import PpspWeights
+from .sensor_io import STRING, check_fields, integer, one_of, real
 from .signals import SensorTrace
 
 __all__ = [
@@ -71,23 +72,6 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-_STRING = ("a string", lambda value: isinstance(value, str))
-_PIPELINE_FIELD_TYPES = {
-    "welch_segment": INTEGER,
-    "input_bins": INTEGER,
-    "f_min_hz": REAL,
-    "delta_f_hz": REAL,
-    "n_support": INTEGER,
-    "gamma": INTEGER,
-    "detector": _STRING,
-    "threshold_quantile": REAL,
-    "detection_threshold": REAL,
-    "max_lag_s": REAL,
-    "m_harmonics": INTEGER,
-    "weights_path": _STRING,
-}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything the end-to-end estimator needs besides the trace itself."""
@@ -106,27 +90,23 @@ class PipelineConfig:
     weights_path: str | None = None
 
     def __post_init__(self):
-        check_field_types(self, _PIPELINE_FIELD_TYPES)
-        if self.f_min_hz <= 0:
-            raise ValueError("f_min_hz must be positive")
-        if self.delta_f_hz is not None and self.delta_f_hz <= 0:
-            raise ValueError("delta_f_hz must be positive")
-        if self.n_support < 2:
-            raise ValueError("n_support must be >= 2")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if self.detector not in ("threshold", "network"):
-            raise ValueError("detector must be 'threshold' or 'network'")
-        if not 0.0 < self.threshold_quantile < 1.0:
-            raise ValueError("threshold_quantile must be in (0, 1)")
-        if not 0.0 < self.detection_threshold <= 1.0:
-            raise ValueError("detection_threshold must be in (0, 1]")
-        if self.max_lag_s < 0:
-            raise ValueError("max_lag_s must be >= 0")
-        if self.m_harmonics < 1:
-            raise ValueError("m_harmonics must be >= 1")
-        if self.input_bins < 2:
-            raise ValueError("input_bins must be >= 2")
+        check_fields(self, _PIPELINE_FIELDS)
+
+
+_PIPELINE_FIELDS = {
+    "welch_segment": integer(),
+    "input_bins": integer(">= 2"),
+    "f_min_hz": real("> 0"),
+    "delta_f_hz": real("> 0"),
+    "n_support": integer(">= 2"),
+    "gamma": integer(">= 1"),
+    "detector": one_of("threshold", "network"),
+    "threshold_quantile": real("in (0, 1)"),
+    "detection_threshold": real("in (0, 1]"),
+    "max_lag_s": real(">= 0"),
+    "m_harmonics": integer(">= 1"),
+    "weights_path": STRING,
+}
 
 
 @dataclass

@@ -21,7 +21,8 @@ import numpy as np
 
 from .dsp import NoiseReference, default_segment_len, welch_psd
 from .estimator import PipelineConfig, PipelineError, estimate_rpm
-from .ppsp import INTEGER, REAL, PpspWeights, check_field_types
+from .ppsp import PpspWeights
+from .sensor_io import BOOLEAN, check_fields, instance_of, integer, list_of, pairs, real
 from .sensor_io import json_fingerprint, write_json, write_table
 from .signals import (
     ArrayGeometry,
@@ -179,12 +180,15 @@ class SweepScenario:
     def __post_init__(self):
         """Real fields become floats, JSON lists the tuples above, and a
         ``pipeline`` dict a :class:`PipelineConfig`.  A value of the wrong kind
-        or out of range is a ValueError that names its field."""
+        or out of range, or a network pipeline without weights, is a
+        ValueError that names its field."""
         if isinstance(self.pipeline, dict):
             object.__setattr__(self, "pipeline", PipelineConfig(**self.pipeline))
         elif not isinstance(self.pipeline, PipelineConfig):
             raise TypeError("pipeline must be a PipelineConfig or a dict of its keys")
-        check_field_types(self, _SCENARIO_FIELD_TYPES)
+        check_fields(self, _SCENARIO_FIELDS)
+        if self.pipeline.detector == "network" and self.pipeline.weights_path is None:
+            raise ValueError("pipeline must give a weights_path for the network detector")
         normalized = {
             **{f.name: float(getattr(self, f.name)) for f in fields(self) if f.type == "float"},
             "distances_cm": tuple(float(d) for d in self.distances_cm),
@@ -202,39 +206,18 @@ class SweepScenario:
         return json_fingerprint(asdict(self))
 
 
-_, _is_integer = INTEGER
-_, _is_real = REAL
-
-
-def _positive(value) -> bool:
-    return _is_real(value) and value > 0
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, (tuple, list))
-
-
-def _pairs(kind: str, first, second) -> tuple:
-    return (kind, lambda value: _is_list(value) and all(
-        _is_list(row) and len(row) == 2 and first(row[0]) and second(row[1]) for row in value
-    ))
-
-
 # every field not named below the first line is a finite real number
-_SCENARIO_FIELD_TYPES = {
-    **{f.name: REAL for f in fields(SweepScenario)},
-    **dict.fromkeys(("sample_rate_hz", "duration_s"), ("a positive number", _positive)),
-    **dict.fromkeys(("distances_cm", "speeds_rpm"), (
-        "a non-empty list of positive numbers",
-        lambda value: _is_list(value) and len(value) > 0 and all(map(_positive, value)),
-    )),
-    "trials_per_cell": ("an integer >= 1", lambda value: _is_integer(value) and value >= 1),
-    "master_seed": ("an integer >= 0", lambda value: _is_integer(value) and value >= 0),
-    "sensor_positions_cm": _pairs("a list of [x, y] pairs", _is_real, _is_real),
-    "harmonic_shape": _pairs("a list of [order, amplitude] pairs", _is_integer, _is_real),
-    "mains": _pairs("a list of [frequency, amplitude] pairs", _is_real, _is_real),
-    "use_noise_reference": ("true or false", lambda value: isinstance(value, bool)),
-    "pipeline": ("a PipelineConfig", lambda value: isinstance(value, PipelineConfig)),
+_SCENARIO_FIELDS = {
+    **{f.name: real() for f in fields(SweepScenario)},
+    **dict.fromkeys(("sample_rate_hz", "duration_s"), real("> 0")),
+    **dict.fromkeys(("distances_cm", "speeds_rpm"), list_of(real("> 0"), non_empty=True)),
+    "trials_per_cell": integer(">= 1"),
+    "master_seed": integer(">= 0"),
+    "sensor_positions_cm": pairs("[x, y]", real(), real()),
+    "harmonic_shape": pairs("[order, amplitude]", integer(), real()),
+    "mains": pairs("[frequency, amplitude]", real(), real()),
+    "use_noise_reference": BOOLEAN,
+    "pipeline": instance_of(PipelineConfig),
 }
 
 
@@ -343,10 +326,9 @@ def run_distance_sweep(
     """
     if scenario is None:
         scenario = SweepScenario()
-    pipeline = scenario.pipeline
     weights = None
-    if pipeline.detector == "network" and pipeline.weights_path is not None:
-        weights = PpspWeights.load(pipeline.weights_path)
+    if scenario.pipeline.detector == "network":
+        weights = PpspWeights.load(scenario.pipeline.weights_path)
     geometry = ArrayGeometry(
         sensor_positions_cm=scenario.sensor_positions_cm,
         effective_speed_cm_s=scenario.effective_speed_cm_s,

@@ -40,13 +40,14 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .sensor_io import ODD, check_fields, integer, list_of, real
 
 FORMAT_VERSION = 1
 
@@ -58,40 +59,6 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch} (loss={loss})")
         self.epoch = epoch
         self.loss = loss
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-INTEGER = ("an integer", _is_integer)
-REAL = ("a finite real number", _is_finite_real)
-INTEGERS = (
-    "a list of integers",
-    lambda value: isinstance(value, (tuple, list)) and all(map(_is_integer, value)),
-)
-
-
-def check_field_types(config, kinds: dict) -> None:
-    """Raise a ValueError naming the first field of the dataclass ``config``
-    whose value is not of its kind; ``kinds`` maps each field name to a
-    (description, predicate) pair.  A field whose default is None may be
-    None.  Run this before any range check, so that those compare numbers."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None and f.default is None:
-            continue
-        kind, accepts = kinds[f.name]
-        if not accepts(value):
-            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,41 +79,16 @@ class PpspConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        check_field_types(self, _PPSP_FIELD_TYPES)
-        object.__setattr__(
-            self, "multiscale_kernel_widths", tuple(self.multiscale_kernel_widths)
-        )
-        object.__setattr__(
-            self, "pyramid_pool_kernels", tuple(self.pyramid_pool_kernels)
-        )
-        if self.encoder_levels < 1:
-            raise ValueError("encoder_levels must be >= 1")
-        if self.filters_per_conv < 1:
-            raise ValueError("filters_per_conv must be >= 1")
-        if self.pool_kernel < 2:
-            raise ValueError("pool_kernel must be >= 2")
+        check_fields(self, _PPSP_FIELDS)
+        for name in ("multiscale_kernel_widths", "pyramid_pool_kernels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         stride_total = self.pool_kernel**self.encoder_levels
-        if self.input_bins % stride_total != 0 or self.input_bins < stride_total:
+        if self.input_bins % stride_total != 0:
             raise ValueError(
-                f"input_bins must be a positive multiple of "
-                f"pool_kernel**encoder_levels ({stride_total})"
+                f"input_bins must be a multiple of pool_kernel**encoder_levels ({stride_total})"
             )
-        if not self.multiscale_kernel_widths:
-            raise ValueError("need at least one multiscale kernel width")
-        for w in (*self.multiscale_kernel_widths, self.conv_kernel):
-            if w < 1 or w % 2 == 0:
-                raise ValueError("kernel widths must be odd and >= 1")
-        for m in self.pyramid_pool_kernels:
-            if m < 1 or self.input_bins % m != 0:
-                raise ValueError("pyramid kernels must divide input_bins")
-        if self.pyramid_reduced_filters is not None and self.pyramid_reduced_filters < 1:
-            raise ValueError("pyramid_reduced_filters must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must be in (0, 1]")
-        if self.bn_eps <= 0:
-            raise ValueError("bn_eps must be positive")
+        if any(self.input_bins % m for m in self.pyramid_pool_kernels):
+            raise ValueError("pyramid kernels must divide input_bins")
 
     @property
     def reduced_filters(self) -> int:
@@ -155,18 +97,18 @@ class PpspConfig:
         return max(1, self.filters_per_conv // 4)
 
 
-_PPSP_FIELD_TYPES = {
-    "input_bins": INTEGER,
-    "encoder_levels": INTEGER,
-    "filters_per_conv": INTEGER,
-    "conv_kernel": INTEGER,
-    "pool_kernel": INTEGER,
-    "multiscale_kernel_widths": INTEGERS,
-    "pyramid_pool_kernels": INTEGERS,
-    "pyramid_reduced_filters": INTEGER,
-    "seed": INTEGER,
-    "bn_momentum": REAL,
-    "bn_eps": REAL,
+_PPSP_FIELDS = {
+    "input_bins": integer(">= 1"),
+    "encoder_levels": integer(">= 1"),
+    "filters_per_conv": integer(">= 1"),
+    "conv_kernel": ODD,
+    "pool_kernel": integer(">= 2"),
+    "multiscale_kernel_widths": list_of(ODD, non_empty=True),
+    "pyramid_pool_kernels": list_of(integer(">= 1")),
+    "pyramid_reduced_filters": integer(">= 1"),
+    "seed": integer(">= 0"),
+    "bn_momentum": real("in (0, 1]"),
+    "bn_eps": real("> 0"),
 }
 
 

@@ -37,14 +37,24 @@ their constructors, which normalise JSON lists back to tuples; a key the
 constructor does not know is an error, never silently ignored.  A sensing
 configuration is one JSON document with the sections motor (or motors),
 geometry, noise and coil, read by :func:`parse_sensing_config`.
+
+The field kinds live here too: every configuration magrev reads maps each
+key to a kind, a description with its range and a predicate (see
+:func:`integer` and :func:`real`), and :func:`check_fields` raises
+``<key> must be <kind>, got <value>`` for the first bad or unknown key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import wave
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import fields
+from functools import partial
+from operator import ge, gt, le, lt
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +62,86 @@ import numpy as np
 from .signals import ArrayGeometry, CoilParams, MotorProfile, NoiseProfile, SensorTrace
 
 PCM_FULL_SCALE = 32767
+
+# ---------------------------------------------------------------------------
+# Configuration fields
+# ---------------------------------------------------------------------------
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_LIST = (tuple, list)
+_COMPARE = {">": gt, ">=": ge, "(": gt, "[": ge, ")": lt, "]": le}
+
+
+def _ranged(noun: str, accepts, where: str = "") -> tuple:
+    """The kind ``noun`` narrowed to the range ``where``: ``> 0``, ``>= 2``,
+    ``in (0, 1]`` or empty for none."""
+    if where.startswith("in "):
+        low, high = where[4:-1].split(",")
+        bounds = ((where[3], low), (where[-1], high))
+    else:
+        bounds = (where.split(),) if where else ()
+    tests = [(_COMPARE[sign], float(bound)) for sign, bound in bounds]
+    return f"{noun} {where}".rstrip(), lambda value: accepts(value) and all(
+        compare(value, bound) for compare, bound in tests
+    )
+
+
+integer = partial(_ranged, "an integer", _is_integer)
+real = partial(_ranged, "a finite real number", _is_real)
+STRING = ("a string", lambda value: isinstance(value, str))
+BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
+OBJECT = ("a JSON object", lambda value: isinstance(value, dict))
+ODD = _ranged("an odd integer", lambda value: _is_integer(value) and value % 2 == 1, ">= 1")
+
+
+def one_of(*choices) -> tuple:
+    return "one of " + ", ".join(map(repr, choices)), lambda value: value in choices
+
+
+def instance_of(cls) -> tuple:
+    return f"a {cls.__name__}", lambda value: isinstance(value, cls)
+
+
+def list_of(kind: tuple, non_empty: bool = False) -> tuple:
+    noun, accepts = kind
+    size = "non-empty list" if non_empty else "list"
+    return f"a {size}, each item {noun}", lambda value: (
+        isinstance(value, _LIST) and (len(value) > 0 or not non_empty) and all(map(accepts, value))
+    )
+
+
+def pairs(names: str, first: tuple, second: tuple) -> tuple:
+    """A list of two-item lists, of the kinds ``first`` and ``second``."""
+    return f"a list of {names} pairs", lambda value: isinstance(value, _LIST) and all(
+        isinstance(row, _LIST) and len(row) == 2 and first[1](row[0]) and second[1](row[1])
+        for row in value
+    )
+
+
+def check_fields(config, kinds: dict) -> None:
+    """Raise a ValueError for the first entry of ``config``, a dataclass or
+    a dict, that ``kinds`` does not name or whose value is not of its kind.
+    ``kinds`` maps each key to a (description, predicate) pair.  A dataclass
+    field whose default is None may be None."""
+    if isinstance(config, dict):
+        entries = [(key, value, False) for key, value in config.items()]
+    else:
+        entries = [(f.name, getattr(config, f.name), f.default is None) for f in fields(config)]
+    for key, value, may_be_none in entries:
+        if key not in kinds:
+            raise ValueError(f"{key} is unknown (known keys: {', '.join(sorted(kinds))})")
+        noun, accepts = kinds[key]
+        if not (value is None and may_be_none or accepts(value)):
+            raise ValueError(f"{key} must be {noun}, got {value!r}")
+
 
 # ---------------------------------------------------------------------------
 # Tables

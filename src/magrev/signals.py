@@ -90,6 +90,8 @@ class CoilParams:
 
     def __post_init__(self):
         self.relative_permeability = float(self.relative_permeability)
+        if isinstance(self.turns, bool) or not float(self.turns).is_integer():
+            raise ValueError(f"turns must be an integer, got {self.turns!r}")
         self.turns = int(self.turns)
         self.area_m2 = float(self.area_m2)
         if self.relative_permeability <= 0 or self.turns < 1 or self.area_m2 <= 0:

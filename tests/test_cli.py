@@ -111,6 +111,28 @@ class TestSimulate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["noise"]["broadband_sigma"] == 0.0
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("durration_s=2", "durration_s"),
+            ("duration_s=[1]", "duration_s"),
+            ("motor=5", "motor"),
+            ("coil.turns=2.7", "turns"),
+            ("coil.turns=true", "turns"),
+        ],
+    )
+    def test_bad_value_is_config_error_naming_its_key(
+        self, tmp_path, sensing_config, capsys, entry, key
+    ):
+        out = tmp_path / "x"
+        code = main([
+            "simulate", "--config", str(sensing_config), "--seed", "7",
+            "--out", str(out), "--set", entry,
+        ])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_estimates_simulated_capture(self, tmp_path, sensing_config, capsys):
@@ -279,6 +301,29 @@ class TestDenoiseAndDetect:
         assert enhanced.n_channels == 1
         spectrum_lines = (out / "spectrum.csv").read_text().strip().splitlines()
         assert len(spectrum_lines) > 100
+
+    def test_denoise_reads_pipeline_keys(self, tmp_path, sensing_config, capsys):
+        sim = simulate(tmp_path, sensing_config)
+        outs = {}
+        for name, sets in (("default", ()), ("same", ("--set", "max_lag_s=0.01")),
+                           ("short", ("--set", "welch_segment=256"))):
+            outs[name] = tmp_path / name
+            code = main([
+                "denoise", "--trace", str(sim / "trace.csv"), "--out", str(outs[name]), *sets,
+            ])
+            assert code == 0
+        spectrum = {name: (out / "spectrum.csv").read_bytes() for name, out in outs.items()}
+        assert spectrum["same"] == spectrum["default"] != spectrum["short"]
+        meta = json.loads((outs["short"] / "meta.json").read_text())
+        assert meta["segment_len"] == 256 and meta["pipeline"]["welch_segment"] == 256
+        out = tmp_path / "bad"
+        code = main([
+            "denoise", "--trace", str(sim / "trace.csv"), "--out", str(out),
+            "--set", "max_lag_s=-1",
+        ])
+        assert code == 2
+        assert "max_lag_s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_detect_writes_loadable_map(self, tmp_path, sensing_config):
         sim = simulate(tmp_path, sensing_config)
@@ -470,6 +515,17 @@ class TestSermap:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [("step_cm=0", "step_cm"), ("step_cm=[1]", "step_cm"), ("grid=fine", "grid")],
+    )
+    def test_bad_key_is_config_error_naming_it(self, tmp_path, capsys, entry, key):
+        out = tmp_path / "x"
+        code = main(["sermap", "--delta-t-ms", "4.0", "--out", str(out), "--set", entry])
+        assert code == 2
+        assert f"sermap key {key} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_tiny_benchmark_is_deterministic(self, tmp_path):
@@ -520,3 +576,13 @@ class TestBench:
         assert code == 2
         assert f"{key} must be " in capsys.readouterr().err
         assert not (out / "trials.csv").exists()
+
+    def test_network_detector_without_weights_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "bench", "--set", "distances_cm=[5]", "--set", "speeds_rpm=[3000]",
+            "--set", "pipeline.detector=network", "--out", str(out),
+        ])
+        assert code == 2
+        assert "pipeline" in capsys.readouterr().err
+        assert not out.exists()

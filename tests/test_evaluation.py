@@ -186,6 +186,14 @@ class TestScenario:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             SweepScenario(**overrides)
 
+    def test_network_pipeline_without_weights_is_rejected(self):
+        with pytest.raises(ValueError, match="^pipeline "):
+            SweepScenario(pipeline=PipelineConfig(detector="network"))
+        with pytest.raises(ValueError, match="^pipeline "):
+            SweepScenario(pipeline={"detector": "network"})
+        named = SweepScenario(pipeline={"detector": "network", "weights_path": "w.ppsp"})
+        assert named.pipeline.weights_path == "w.ppsp"
+
     def test_valid_edge_values_construct(self):
         # the reduced single-cell scenarios perfbench builds with replace()
         base = SweepScenario()

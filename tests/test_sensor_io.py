@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -13,11 +13,15 @@ from magrev.detector import (
 from magrev.dsp import NoiseReference
 from magrev.sensor_io import (
     PCM_FULL_SCALE,
+    check_fields,
+    integer,
+    list_of,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
     read_json,
     read_table,
+    real,
     save_trace_csv,
     save_trace_wav,
     write_table,
@@ -305,3 +309,39 @@ class TestSensingConfig:
         _, geometry, _, _ = self.make_sections()
         loaded = parse_sensing_config({"geometry": asdict(geometry), "label": "bench-west"})
         assert loaded["raw"]["label"] == "bench-west"
+
+
+class TestFieldKinds:
+    def test_ranges_bound_the_kind(self):
+        noun, accepts = integer(">= 2")
+        assert noun == "an integer >= 2"
+        assert accepts(2) and accepts(np.int64(7))
+        assert not any(map(accepts, (1, 2.0, True, "3")))
+        noun, accepts = real("in (0, 1]")
+        assert noun == "a finite real number in (0, 1]"
+        assert accepts(1) and accepts(np.float64(0.5))
+        assert not any(map(accepts, (0.0, 1.5, float("nan"), "0.5", False)))
+        _, accepts = list_of(real("> 0"), non_empty=True)
+        assert accepts((1.0,)) and accepts([2, 3.5])
+        assert not any(map(accepts, ([], [1.0, 0.0], 1.0)))
+
+    def test_check_fields_names_the_key(self):
+        kinds = {"epochs": integer(">= 0")}
+        check_fields({"epochs": 0}, kinds)
+        with pytest.raises(ValueError, match=r"^epochs must be an integer >= 0, got -1$"):
+            check_fields({"epochs": -1}, kinds)
+        with pytest.raises(ValueError, match=r"^epocs is unknown \(known keys: epochs\)$"):
+            check_fields({"epocs": 1}, kinds)
+
+    def test_a_dataclass_field_defaulting_to_none_may_be_none(self):
+        @dataclass
+        class Knob:
+            size: int | None = None
+
+        kinds = {"size": integer(">= 1")}
+        check_fields(Knob(), kinds)
+        check_fields(Knob(size=2), kinds)
+        with pytest.raises(ValueError, match="^size must be "):
+            check_fields(Knob(size=0), kinds)
+        with pytest.raises(ValueError, match="^size must be "):
+            check_fields({"size": None}, kinds)

@@ -93,6 +93,12 @@ class TestFieldAndVoltage:
         coil = CoilParams(relative_permeability=100.0, turns=10, area_m2=2.0)
         assert coil.scale == pytest.approx(MU_0 * 100.0 * 10 * 2.0)
 
+    def test_coil_turns_must_be_integral(self):
+        for bad in (2.7, True, float("inf")):
+            with pytest.raises(ValueError, match="^turns must be an integer"):
+                CoilParams(turns=bad)
+        assert CoilParams(turns=3500.0).turns == CoilParams(turns=np.int64(3500)).turns == 3500
+
     def test_nyquist_guard(self):
         p = make_profile(rpm=60000.0)  # 3rd harmonic at 3 kHz
         with pytest.raises(ValueError):
