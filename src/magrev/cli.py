@@ -13,6 +13,9 @@ Conventions shared by all subcommands:
   Values parse as JSON, falling back to plain strings.  Every key is
   checked against its section's table of field kinds (``magrev.sensor_io``)
   before anything runs, so an unknown or invalid key exits 2 and is named.
+  Whether ``welch_segment`` (a power of two) fits a capture is known only
+  once the trace is read, so a misfit fails the spectrum stage (exit 4;
+  ``bench`` counts those trials as failed).
 * commands that draw randomness require ``--seed``; given the same seed and
   config they write byte-identical outputs.
 * ``--out DIR`` names the output directory (created if needed); every run
@@ -43,10 +46,10 @@ from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
 from .ppsp import PpspConfig, TrainingDivergedError
 from .sensor_io import (
     OBJECT,
+    SENSING_FIELDS,
     check_fields,
     integer,
     json_fingerprint,
-    list_of,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
@@ -173,7 +176,8 @@ def _check_keys(doc: dict, kinds: dict, section: str) -> None:
 
 
 def _pipeline_config(args) -> tuple[PipelineConfig, dict]:
-    doc = _apply_sets(_load_json_config(args.config), args.set)
+    doc = _load_json_config(args.config)
+    doc = _apply_sets(doc, args.set)
     if args.weights is not None:
         # passing weights means the network detector, unless the config
         # said otherwise explicitly
@@ -196,17 +200,12 @@ def _write_meta(out: Path, command: str, doc: dict) -> None:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-_SIMULATE_FIELDS = {
-    **dict.fromkeys(("motor", "geometry", "noise", "coil"), OBJECT),
-    "motors": list_of(OBJECT, non_empty=True),
-    **dict.fromkeys(("duration_s", "sample_rate_hz"), real("> 0")),
-}
-
 
 def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
-    doc = _apply_sets(_load_json_config(args.config), args.set)
-    _check_keys(doc, _SIMULATE_FIELDS, "simulate")
+    doc = _load_json_config(args.config)
+    doc = _apply_sets(doc, args.set)
+    _check_keys(doc, SENSING_FIELDS, "simulate")
     if "motor" not in doc and "motors" not in doc:
         raise _ConfigError("simulate needs --config with a 'motor' or 'motors' section")
     parsed = parse_sensing_config(doc)
@@ -240,17 +239,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_DENOISE_FIELDS = {"max_lag_s": real(">= 0")}
+
+
 def _cmd_denoise(args) -> int:
-    config, config_doc = _pipeline_config(args)
+    doc = _apply_sets({}, args.set)
+    _check_keys(doc, _DENOISE_FIELDS, "denoise")
+    max_lag_s = doc.get("max_lag_s", PipelineConfig.max_lag_s)
     trace = _load_trace(args.trace)
     reference = _load_reference(args.reference, trace.n_samples)
-    max_lag = int(round(config.max_lag_s * trace.sample_rate_hz))
+    max_lag = int(round(max_lag_s * trace.sample_rate_hz))
     try:
         enhanced = delay_and_sum(trace, reference, max_lag=max_lag)
     except ValueError as exc:
         raise PipelineError("enhance", str(exc)) from exc
     try:
-        segment = config.welch_segment or default_segment_len(trace.sample_rate_hz, enhanced.size)
+        segment = default_segment_len(trace.sample_rate_hz, enhanced.size)
         spectrum = welch_psd(enhanced, trace.sample_rate_hz, segment_len=segment)
     except ValueError as exc:
         raise PipelineError("spectrum", str(exc)) from exc
@@ -266,7 +270,7 @@ def _cmd_denoise(args) -> int:
         {
             "trace": str(args.trace),
             "reference": str(args.reference) if args.reference else None,
-            "pipeline": config_doc,
+            "max_lag_s": max_lag_s,
             "segment_len": segment,
         },
     )
@@ -421,12 +425,8 @@ _SCENARIO_KEYS_HELP = (
     + "; pipeline.* nests the estimate keys."
 )
 _TRAIN_KEYS_HELP = (
-    "config keys: epochs, batch_size, learning_rate, dice_eps, count, "
-    "network.* (" + ", ".join(_keys(PpspConfig)) + ")."
-)
-_SENSING_KEYS_HELP = (
-    "config sections: motor or motors, geometry, noise, coil, plus "
-    "duration_s and sample_rate_hz."
+    "config keys: " + ", ".join(_TRAINING_FIELDS)
+    + "; network.* nests " + ", ".join(_keys(PpspConfig)) + "."
 )
 
 
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate",
         help="synthesize an array capture",
-        epilog=_SENSING_KEYS_HELP,
+        epilog="config keys: " + ", ".join(SENSING_FIELDS) + ".",
     )
     _add_common(p, seed=True)
     p.add_argument("--duration", type=float, help="capture length in seconds")
@@ -464,12 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "denoise",
         help="enhance a capture and write its spectrum",
-        epilog=_PIPELINE_KEYS_HELP + " denoise reads max_lag_s and welch_segment.",
+        epilog="--set keys: max_lag_s (alignment search half-window in seconds, "
+        "default 0.01).",
     )
     p.add_argument("--trace", required=True, help="input trace (.csv or .wav)")
     p.add_argument("--reference", help="noise reference CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_denoise, weights=None)
+    _add_common(p, config=False)
+    p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser(
         "detect",
@@ -528,17 +529,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (_ConfigError, ValueError) as exc:
         # the library signals invalid parameter combinations with ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (_IoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (PipelineError, TrainingDivergedError) as exc:

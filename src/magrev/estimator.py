@@ -94,7 +94,7 @@ class PipelineConfig:
 
 
 _PIPELINE_FIELDS = {
-    "welch_segment": integer(),
+    "welch_segment": integer(">= 1"),
     "input_bins": integer(">= 2"),
     "f_min_hz": real("> 0"),
     "delta_f_hz": real("> 0"),

@@ -80,12 +80,17 @@ class PpspConfig:
 
     def __post_init__(self):
         check_fields(self, _PPSP_FIELDS)
-        for name in ("multiscale_kernel_widths", "pyramid_pool_kernels"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(
+            self, "multiscale_kernel_widths", tuple(self.multiscale_kernel_widths)
+        )
+        object.__setattr__(
+            self, "pyramid_pool_kernels", tuple(self.pyramid_pool_kernels)
+        )
         stride_total = self.pool_kernel**self.encoder_levels
         if self.input_bins % stride_total != 0:
             raise ValueError(
-                f"input_bins must be a multiple of pool_kernel**encoder_levels ({stride_total})"
+                f"input_bins must be a multiple of "
+                f"pool_kernel**encoder_levels ({stride_total})"
             )
         if any(self.input_bins % m for m in self.pyramid_pool_kernels):
             raise ValueError("pyramid kernels must divide input_bins")

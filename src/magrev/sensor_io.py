@@ -36,7 +36,8 @@ Configuration dataclasses round-trip through ``dataclasses.asdict`` and
 their constructors, which normalise JSON lists back to tuples; a key the
 constructor does not know is an error, never silently ignored.  A sensing
 configuration is one JSON document with the sections motor (or motors),
-geometry, noise and coil, read by :func:`parse_sensing_config`.
+geometry, noise and coil, read by :func:`parse_sensing_config`;
+``SENSING_FIELDS`` names its top-level keys.
 
 The field kinds live here too: every configuration magrev reads maps each
 key to a kind, a description with its range and a predicate (see
@@ -73,7 +74,11 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 _LIST = (tuple, list)
@@ -332,6 +337,14 @@ _SECTIONS = {
     "geometry": ArrayGeometry,
     "noise": NoiseProfile,
     "coil": CoilParams,
+}
+
+# the top-level keys of a sensing document; parse_sensing_config keeps any
+# other key in 'raw', so a caller that refuses them checks this table first
+SENSING_FIELDS = {
+    **dict.fromkeys(_SECTIONS, OBJECT),
+    "motors": list_of(OBJECT, non_empty=True),
+    **dict.fromkeys(("duration_s", "sample_rate_hz"), real("> 0")),
 }
 
 

@@ -302,28 +302,54 @@ class TestDenoiseAndDetect:
         spectrum_lines = (out / "spectrum.csv").read_text().strip().splitlines()
         assert len(spectrum_lines) > 100
 
-    def test_denoise_reads_pipeline_keys(self, tmp_path, sensing_config, capsys):
+    def test_denoise_reads_max_lag_s(self, tmp_path, sensing_config, capsys):
         sim = simulate(tmp_path, sensing_config)
         outs = {}
         for name, sets in (("default", ()), ("same", ("--set", "max_lag_s=0.01")),
-                           ("short", ("--set", "welch_segment=256"))):
+                           ("unaligned", ("--set", "max_lag_s=0"))):
             outs[name] = tmp_path / name
             code = main([
                 "denoise", "--trace", str(sim / "trace.csv"), "--out", str(outs[name]), *sets,
             ])
             assert code == 0
-        spectrum = {name: (out / "spectrum.csv").read_bytes() for name, out in outs.items()}
-        assert spectrum["same"] == spectrum["default"] != spectrum["short"]
-        meta = json.loads((outs["short"] / "meta.json").read_text())
-        assert meta["segment_len"] == 256 and meta["pipeline"]["welch_segment"] == 256
+        for table in ("enhanced.csv", "spectrum.csv", "meta.json"):
+            assert (outs["same"] / table).read_bytes() == (outs["default"] / table).read_bytes()
+        assert json.loads((outs["same"] / "meta.json").read_text())["max_lag_s"] == 0.01
+        assert json.loads((outs["unaligned"] / "meta.json").read_text())["max_lag_s"] == 0
+        enhanced = (outs["unaligned"] / "enhanced.csv").read_bytes()
+        assert enhanced != (outs["default"] / "enhanced.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("max_lag_s=-1", "denoise key max_lag_s must be "),
+         ("welch_segment=256", "denoise key welch_segment is unknown"),
+         ("gamma=5", "denoise key gamma is unknown")],
+    )
+    def test_denoise_refuses_keys_it_does_not_read(
+        self, tmp_path, sensing_config, capsys, entry, message
+    ):
+        sim = simulate(tmp_path, sensing_config)
         out = tmp_path / "bad"
         code = main([
-            "denoise", "--trace", str(sim / "trace.csv"), "--out", str(out),
-            "--set", "max_lag_s=-1",
+            "denoise", "--trace", str(sim / "trace.csv"), "--out", str(out), "--set", entry,
         ])
         assert code == 2
-        assert "max_lag_s" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("segment, code", [(0, 2), (-5, 2), (3, 4)])
+    def test_welch_segment_range_up_front_and_fit_at_the_spectrum(
+        self, tmp_path, sensing_config, capsys, segment, code
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        capsys.readouterr()
+        out = tmp_path / "est"
+        assert main([
+            "estimate", "--trace", str(sim / "trace.csv"), "--out", str(out),
+            "--set", f"welch_segment={segment}",
+        ]) == code
+        err = capsys.readouterr().err
+        assert ("welch_segment must be an integer >= 1" if code == 2 else "spectrum") in err
 
     def test_detect_writes_loadable_map(self, tmp_path, sensing_config):
         sim = simulate(tmp_path, sensing_config)
