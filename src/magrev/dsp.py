@@ -20,7 +20,14 @@ from .signals import SensorTrace
 
 SPECTRAL_FLOOR = 1.0
 
-_WINDOWS = ("hann", "hamming", "blackman", "rectangular")
+# every window is a sum of cosines, w[t] = sum_c a_c * cos(2 pi c t / n);
+# these are the a_c
+_COSINE_TERMS = {
+    "hann": (0.5, -0.5),
+    "hamming": (0.54, -0.46),
+    "blackman": (0.42, -0.5, 0.08),
+    "rectangular": (1.0,),
+}
 
 
 @dataclass
@@ -239,20 +246,14 @@ def delay_and_sum(
 
 
 def _window(name: str, n: int) -> np.ndarray:
-    if name == "rectangular":
-        return np.ones(n)
+    if name not in _COSINE_TERMS:
+        raise ValueError(f"unknown window '{name}' (choose from {tuple(_COSINE_TERMS)})")
+    terms = _COSINE_TERMS[name]
     k = np.arange(n)
-    if name == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
-    if name == "hamming":
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / n)
-    if name == "blackman":
-        return (
-            0.42
-            - 0.5 * np.cos(2.0 * np.pi * k / n)
-            + 0.08 * np.cos(4.0 * np.pi * k / n)
-        )
-    raise ValueError(f"unknown window '{name}' (choose from {_WINDOWS})")
+    w = np.full(n, terms[0])
+    for c, a in enumerate(terms[1:], 1):
+        w = w + a * np.cos(2.0 * c * np.pi * k / n)
+    return w
 
 
 def _is_pow2(n: int) -> bool:
@@ -270,15 +271,15 @@ def default_segment_len(fs: float, n_samples: int) -> int:
     return target
 
 
-def _welch_frames(
+def _welch_setup(
     signal: np.ndarray,
     fs: float,
     segment_len: int,
     overlap_fraction: float,
     window: str,
-) -> tuple[np.ndarray, float]:
-    """Tapered Welch segments, one per row, and the density scale
-    1/(fs * sum(w^2)) of one segment's squared transform."""
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The checked signal, the window, the hop between segment starts, and
+    the density scale 1/(fs * sum(w^2)) of one segment's squared transform."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
@@ -294,8 +295,7 @@ def _welch_frames(
         raise ValueError("overlap_fraction must be in [0, 1)")
     w = _window(window, segment_len)
     hop = max(1, int(round(segment_len * (1.0 - overlap_fraction))))
-    frames = sliding_window_view(x, segment_len)[::hop] * w
-    return frames, 1.0 / (fs * float(np.sum(w * w)))
+    return x, w, hop, 1.0 / (fs * float(np.sum(w * w)))
 
 
 def _one_sided_mean(power: np.ndarray, bins: np.ndarray, nfft: int) -> np.ndarray:
@@ -322,12 +322,12 @@ def welch_psd(
     ``nfft`` >= segment_len zero-pads each segment, which refines the bin
     grid without changing the underlying spectral window.
     """
-    frames, scale = _welch_frames(signal, fs, segment_len, overlap_fraction, window)
+    x, w, hop, scale = _welch_setup(signal, fs, segment_len, overlap_fraction, window)
     if nfft is None:
         nfft = segment_len
     if nfft < segment_len:
         raise ValueError("nfft must be >= segment_len")
-    spec = np.fft.rfft(frames, n=nfft, axis=-1)
+    spec = np.fft.rfft(sliding_window_view(x, segment_len)[::hop] * w, n=nfft, axis=-1)
     bins = np.arange(nfft // 2 + 1)
     psd = _one_sided_mean((spec.real**2 + spec.imag**2) * scale, bins, nfft)
     df = fs / nfft
@@ -366,32 +366,53 @@ def welch_zoom(
 ) -> np.ndarray:
     """Densities of ``welch_psd(..., nfft=nfft)`` (half-overlapping
     segments) at the consecutive grid indices ``bins`` only (equal to within
-    FFT round-off).
+    FFT round-off); ``nfft`` must be a multiple of ``segment_len``.
 
-    Each segment's zero-padded transform is evaluated on just those bins
-    with Bluestein's chirp-z algorithm, one convolution of the
-    segment length plus the bin count, instead of an ``nfft``-point FFT.
+    Half-overlapping segments are pairs of neighbouring half-length blocks,
+    so each block is transformed once: Bluestein's chirp-z algorithm
+    evaluates its zero-padded transform on just the requested bins, one
+    convolution of the block length plus the bin count instead of an
+    ``nfft``-point FFT.  A segment's plain transform is its first block's
+    plus the second's times the phase of half a segment.  Every window is a
+    sum of cosines of whole periods over the segment, and each cosine is a
+    pair of shifts by a multiple of ``nfft / segment_len`` bins, so the
+    tapered transform is a few shifted copies of the plain one; the blocks
+    are transformed that many bins beyond the requested ones on each side.
     """
-    frames, scale = _welch_frames(signal, fs, segment_len, 0.5, window)
-    if nfft < segment_len:
-        raise ValueError("nfft must be >= segment_len")
+    x, _, hop, scale = _welch_setup(signal, fs, segment_len, 0.5, window)
+    if nfft < segment_len or nfft % segment_len:
+        raise ValueError("nfft must be a positive multiple of segment_len")
     bins = np.asarray(bins, dtype=np.int64)
     m = bins.size
     if m == 0:
         return np.zeros(0)
     if bins[0] < 0 or bins[-1] > nfft // 2 or np.any(np.diff(bins) != 1):
         raise ValueError("bins must be consecutive indices of the one-sided grid")
-    # X[k0 + j] = chirp(j^2) * sum_t frame[t] chirp(2 k0 t + t^2) conj(chirp((j - t)^2))
-    t = np.arange(segment_len, dtype=np.int64)
-    j = np.arange(m, dtype=np.int64)
-    size = _fast_len(segment_len + m - 1)
+    terms = _COSINE_TERMS[window]
+    gamma = nfft // segment_len
+    reach = (len(terms) - 1) * gamma
+    width = m + 2 * reach
+    first = int(bins[0]) - reach
+    # the n_frames + 1 blocks, block f + 1 starting where frame f's second half does
+    blocks = x[: x.size // hop * hop].reshape(-1, hop)
+    # B[k0 + j] = chirp(j^2) * sum_t block[t] chirp(2 k0 t + t^2) conj(chirp((j - t)^2))
+    t = np.arange(hop, dtype=np.int64)
+    j = np.arange(width, dtype=np.int64)
+    size = _fast_len(hop + width - 1)
     kernel = np.zeros(size, dtype=np.complex128)
-    kernel[:m] = np.conj(_chirp(j * j, nfft))
-    kernel[size - segment_len + 1 :] = np.conj(_chirp(t[:0:-1] ** 2, nfft))
-    chirped = frames * _chirp(2 * bins[0] * t + t * t, nfft)
-    conv = np.fft.ifft(np.fft.fft(chirped, n=size, axis=-1) * np.fft.fft(kernel), axis=-1)
-    spec = conv[:, :m] * _chirp(j * j, nfft)
-    return _one_sided_mean((spec.real**2 + spec.imag**2) * scale, bins, nfft)
+    kernel[:width] = np.conj(_chirp(j * j, nfft))
+    kernel[size - hop + 1 :] = np.conj(_chirp(t[:0:-1] ** 2, nfft))
+    conv = np.fft.fft(blocks * _chirp(2 * first * t + t * t, nfft), n=size, axis=-1)
+    conv *= np.fft.fft(kernel)
+    spec = np.fft.ifft(conv, axis=-1)[:, :width] * _chirp(j * j, nfft)
+    # each rectangular frame: its first block plus the second delayed by hop
+    plain = spec[:-1] + _chirp(2 * hop * (first + j), nfft) * spec[1:]
+    taper = terms[0] * plain[:, reach : reach + m]
+    for c, a in enumerate(terms[1:], 1):
+        below = plain[:, reach - c * gamma :][:, :m]
+        above = plain[:, reach + c * gamma :][:, :m]
+        taper += 0.5 * a * (below + above)
+    return _one_sided_mean((taper.real**2 + taper.imag**2) * scale, bins, nfft)
 
 
 def log_normalize(spectrum: PowerSpectrum) -> PowerSpectrum:

@@ -21,8 +21,8 @@ winning on partial evidence.
 
 The fine stage re-reads the enhanced time signal on the grid of a Welch
 transform zero-padded to ``gamma`` times the segment length, evaluated only
-at the grid points inside ``+/- delta_f`` of the coarse pick, and takes the
-density peak among them.  RPM is exactly ``60 * fine``.
+at the grid points inside ``+/- delta_f`` of the coarse pick and not below
+``f_min``, and takes the density peak among them.  RPM is exactly ``60 * fine``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .dsp import (
     welch_zoom,
 )
 from .ppsp import PpspWeights
-from .sensor_io import STRING, check_fields, integer, one_of, real
+from .sensor_io import POWER_OF_TWO, STRING, check_fields, integer, one_of, real
 from .signals import SensorTrace
 
 __all__ = [
@@ -94,7 +94,7 @@ class PipelineConfig:
 
 
 _PIPELINE_FIELDS = {
-    "welch_segment": integer(">= 1"),
+    "welch_segment": POWER_OF_TWO,
     "input_bins": integer(">= 2"),
     "f_min_hz": real("> 0"),
     "delta_f_hz": real("> 0"),
@@ -338,14 +338,18 @@ def fine_estimate(
     segment_len: int | None = None,
     gamma: int = 50,
     delta_f_hz: float | None = None,
+    f_min_hz: float = 0.0,
     window: str = "hann",
 ) -> float:
     """Refine a coarse frequency on a gamma-times denser spectral grid.
 
     The grid is that of the Welch transform zero-padded to
     ``gamma * segment_len`` points; its densities are evaluated only at the
-    grid points within ``+/- delta_f`` of the coarse pick (see
-    :func:`magrev.dsp.welch_zoom`), and the peak among them is returned.
+    grid points within ``+/- delta_f`` of the coarse pick and not below
+    ``f_min_hz``, and the peak among them is returned.  They come from
+    :func:`magrev.dsp.welch_zoom`: each half-length block of the signal is
+    chirp-z transformed once onto those points (plus the few bins the
+    window's cosine shifts reach), so no ``nfft``-point transform is taken.
     ``gamma=1`` reproduces the coarse grid.
     """
     signal = np.asarray(signal, dtype=np.float64)
@@ -357,7 +361,7 @@ def fine_estimate(
         delta_f_hz = sample_rate_hz / segment_len
     nfft = segment_len * gamma
     df = sample_rate_hz / nfft
-    lo = coarse_hz - delta_f_hz
+    lo = max(coarse_hz - delta_f_hz, f_min_hz)
     hi = coarse_hz + delta_f_hz
     # a bin of margin on each side; the exact comparison below decides
     first = int(max(np.floor(lo / df) - 1, 0))
@@ -550,6 +554,7 @@ def estimate_rpm_multi(
             segment_len=segment,
             gamma=config.gamma,
             delta_f_hz=delta_f,
+            f_min_hz=config.f_min_hz,
         )
         estimates.append(
             SpeedEstimate(

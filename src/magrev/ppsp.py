@@ -548,9 +548,11 @@ def _forward(
 ):
     """Run the network on x of shape (B, 1, input_bins).
 
-    Returns (probabilities, saves, batch_stats); ``saves`` holds the
-    intermediates the backward pass needs, ``batch_stats`` the batch-norm
-    (mean, var) when ``train`` is set, else None.
+    Returns (probabilities, saves, batch_stats); when ``train`` is set,
+    ``saves`` holds the intermediates the backward pass needs and
+    ``batch_stats`` the batch-norm (mean, var), else both are empty (None
+    for the statistics) and each skip map is dropped once its decoder level
+    has used it.
     """
     cfg = weights.config
     p = weights.params
@@ -558,39 +560,41 @@ def _forward(
         raise ValueError(f"expected input of shape (B, 1, {cfg.input_bins})")
     widths = cfg.multiscale_kernel_widths
     saves: dict[str, object] = {}
+    save = saves.__setitem__ if train else lambda key, value: None
+    skips = []
     cur = x
     for level in range(cfg.encoder_levels):
-        saves[f"enc{level}.in"] = cur
+        save(f"enc{level}.in", cur)
         if train:
             fold = _fold_level(p, level, widths)
             saves[f"enc{level}.fold"] = fold
         else:
             fold = _inference_fold(weights, level)
         proj = conv1d_forward(cur, *fold)
-        saves[f"enc{level}.proj"] = proj
+        save(f"enc{level}.proj", proj)
         skip = relu_forward(proj)
-        saves[f"enc{level}.skip"] = skip
+        skips.append(skip)
         if train:
             cur, saves[f"enc{level}.poolidx"] = maxpool_forward(skip, cfg.pool_kernel)
         else:
             cur = _maxpool(skip, cfg.pool_kernel)
     for level in reversed(range(cfg.encoder_levels)):
-        saves[f"dec{level}.inlen"] = cur.shape[2]
+        save(f"dec{level}.inlen", cur.shape[2])
         up = resize_forward(cur, cur.shape[2] * cfg.pool_kernel)
-        cat = np.concatenate([up, saves[f"enc{level}.skip"]], axis=1)
-        saves[f"dec{level}.cat"] = cat
+        cat = np.concatenate([up, skips.pop()], axis=1)
+        save(f"dec{level}.cat", cat)
         z = conv1d_forward(cat, p[f"dec{level}.conv.weight"], p[f"dec{level}.conv.bias"])
-        saves[f"dec{level}.z"] = z
+        save(f"dec{level}.z", z)
         cur = relu_forward(z)
-    saves["pyr.in"] = cur
+    save("pyr.in", cur)
     feats = [cur]
     for m in cfg.pyramid_pool_kernels:
         pooled = avgpool_forward(cur, m)
-        saves[f"pyr{m}.pooled"] = pooled
+        save(f"pyr{m}.pooled", pooled)
         proj = conv1d_forward(pooled, p[f"pyr{m}.conv.weight"], p[f"pyr{m}.conv.bias"])
         feats.append(resize_forward(proj, cfg.input_bins))
     cat = np.concatenate(feats, axis=1)
-    saves["head.cat"] = cat
+    save("head.cat", cat)
     z = conv1d_forward(cat, p["head.conv.weight"], p["head.conv.bias"])
     batch_stats = None
     if train:
@@ -609,7 +613,7 @@ def _forward(
             cfg.bn_eps,
         )
     probs = sigmoid_forward(bn_out)
-    saves["head.probs"] = probs
+    save("head.probs", probs)
     return probs, saves, batch_stats
 
 

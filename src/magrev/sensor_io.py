@@ -105,6 +105,9 @@ STRING = ("a string", lambda value: isinstance(value, str))
 BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
 OBJECT = ("a JSON object", lambda value: isinstance(value, dict))
 ODD = _ranged("an odd integer", lambda value: _is_integer(value) and value % 2 == 1, ">= 1")
+POWER_OF_TWO = _ranged(
+    "a power of two", lambda value: _is_integer(value) and value & (value - 1) == 0, ">= 2"
+)
 
 
 def one_of(*choices) -> tuple:
@@ -297,8 +300,8 @@ def load_trace_wav(path: str | Path, volts_per_count: float = 1.0) -> SensorTrac
         if handle.getsampwidth() != 2:
             raise ValueError(f"{path}: only 16-bit PCM WAV is supported")
         raw = handle.readframes(handle.getnframes())
-    counts = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    channels = counts.reshape(-1, n_channels).T * volts_per_count
+    counts = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels).T
+    channels = np.multiply(counts, volts_per_count, out=np.empty(counts.shape), dtype=np.float64)
     return SensorTrace(channels=channels, sample_rate_hz=fs)
 
 

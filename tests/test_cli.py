@@ -337,7 +337,7 @@ class TestDenoiseAndDetect:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("segment, code", [(0, 2), (-5, 2), (3, 4)])
+    @pytest.mark.parametrize("segment, code", [(0, 2), (-5, 2), (3, 2), (2**20, 4)])
     def test_welch_segment_range_up_front_and_fit_at_the_spectrum(
         self, tmp_path, sensing_config, capsys, segment, code
     ):
@@ -349,7 +349,9 @@ class TestDenoiseAndDetect:
             "--set", f"welch_segment={segment}",
         ]) == code
         err = capsys.readouterr().err
-        assert ("welch_segment must be an integer >= 1" if code == 2 else "spectrum") in err
+        assert ("welch_segment must be a power of two >= 2" if code == 2 else "spectrum") in err
+        if code == 2:
+            assert not out.exists()
 
     def test_detect_writes_loadable_map(self, tmp_path, sensing_config):
         sim = simulate(tmp_path, sensing_config)
@@ -602,6 +604,16 @@ class TestBench:
         assert code == 2
         assert f"{key} must be " in capsys.readouterr().err
         assert not (out / "trials.csv").exists()
+
+    def test_welch_segment_not_a_power_of_two_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "bench", "--set", "distances_cm=[5]", "--set", "speeds_rpm=[3000]",
+            "--set", "pipeline.welch_segment=3", "--out", str(out),
+        ])
+        assert code == 2
+        assert "welch_segment must be a power of two" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_network_detector_without_weights_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -84,25 +84,35 @@ class TestWelch:
         peak = spec.frequencies[int(np.argmax(spec.densities))]
         assert abs(peak - 100.25) <= spec.resolution_df
 
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    @pytest.mark.parametrize("window", ["hann", "hamming", "blackman", "rectangular"])
     def test_zoom_matches_padded_transform(self, window):
         rng = np.random.default_rng(3)
         fs = 1024.0
         x = tone(100.25, fs, 4096) + 0.1 * rng.normal(size=4096)
-        for segment, gamma in ((1024, 1), (1024, 16), (256, 7)):
+        # segment 2 with gamma 1 has a one-sample block and puts the window's
+        # shifted rungs past both ends of the one-sided grid; so do bin 0
+        # and the Nyquist bin on every grid
+        for segment, gamma in ((1024, 1), (1024, 16), (256, 7), (2, 1), (4, 3)):
             nfft = segment * gamma
             full = welch_psd(x, fs, segment, window=window, nfft=nfft).densities
             for first, count in ((0, 40), (nfft // 2 - 30, 31), (nfft // 5, 1)):
-                bins = np.arange(first, first + count)
+                bins = np.arange(max(first, 0), min(first + count, nfft // 2 + 1))
                 zoom = welch_zoom(x, fs, segment, nfft, bins, window=window)
                 np.testing.assert_allclose(zoom, full[bins], rtol=0, atol=1e-12 * full.max())
+        # a signal that ends part-way through a block
+        y = x[:1000]
+        full = welch_psd(y, fs, 256, window=window, nfft=256 * 5).densities
+        bins = np.arange(100, 160)
+        zoom = welch_zoom(y, fs, 256, 256 * 5, bins, window=window)
+        np.testing.assert_allclose(zoom, full[bins], rtol=0, atol=1e-12 * full.max())
         assert welch_zoom(x, fs, 1024, 2048, np.arange(0)).size == 0
         with pytest.raises(ValueError):
             welch_zoom(x, fs, 1024, 2048, np.array([3, 5]))
         with pytest.raises(ValueError):
             welch_zoom(x, fs, 1024, 2048, np.arange(1020, 1030))
-        with pytest.raises(ValueError):
-            welch_zoom(x, fs, 1024, 512, np.arange(3))
+        for nfft in (512, 0, 1025, 1536):
+            with pytest.raises(ValueError, match="multiple of segment_len"):
+                welch_zoom(x, fs, 1024, nfft, np.arange(3))
 
     def test_frequency_axis(self):
         spec = welch_psd(np.ones(256), 512.0, segment_len=128)

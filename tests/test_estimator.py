@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -263,6 +264,26 @@ class TestFineEstimate:
             fine_estimate(sig, 1024.0, 600.0, segment_len=1024, delta_f_hz=0.5)
         assert err.value.stage == "fine"
 
+    def test_floor_is_inclusive(self):
+        # a 4 Hz tone: its skirt falls across the window, so the floored
+        # window peaks on its lowest bin, which sits exactly on the floor
+        fs = 1024.0
+        sig = tone(4.0, fs, 8192)
+        assert fine_estimate(sig, fs, 5.5, segment_len=1024, delta_f_hz=1.5) == 4.0
+        fine = fine_estimate(sig, fs, 5.5, segment_len=1024, delta_f_hz=1.5, f_min_hz=5.0)
+        assert fine == 5.0
+
+    def test_peak_memory_on_an_8s_capture(self):
+        fs = 8192.0
+        sig = tone(50.3, fs, 8 * 8192)
+        tracemalloc.start()
+        try:
+            fine_estimate(sig, fs, 50.0, segment_len=8192, gamma=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
+
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             fine_estimate(np.zeros(128), 64.0, 10.0, gamma=0)
@@ -400,7 +421,7 @@ class TestEstimateRpmMulti:
 
     def test_welch_failure_is_tagged_spectrum_on_both_paths(self):
         trace = four_sensor_trace(3000.0)
-        config = PipelineConfig(welch_segment=10**6)
+        config = PipelineConfig(welch_segment=2**20)
         for run in (
             lambda: estimate_rpm(trace, config),
             lambda: estimate_rpm_multi(trace, 2, config),
@@ -427,15 +448,18 @@ class TestEstimateRpmMulti:
         assert single.confidence == 0.0
         assert single.flags == ("low_confidence",)
 
-    def test_zero_hz_first_pick_still_reaches_the_second(self):
-        # a DC offset with gamma=1 and a window wider than the coarse pick:
-        # the fine stage lands on 0 Hz, whose multiples never pass the band
-        # edge; clearing must take its one window and go on
+    def test_fine_window_is_floored_at_f_min_on_both_paths(self):
+        # a DC offset and a window wider than the 5 Hz coarse pick: without
+        # the floor the fine stage read 0.02 Hz (1.2 RPM), or 0 Hz at gamma=1
         rng = np.random.default_rng(0)
         trace = SensorTrace(1.0 + 1e-3 * rng.normal(size=(2, 8192)), 8192.0)
-        picks = estimate_rpm_multi(trace, 2, PipelineConfig(delta_f_hz=10.0, gamma=1))
-        assert picks[0].fine_hz == 0.0
-        assert len(picks) == 2
+        for gamma in (50, 1):
+            config = PipelineConfig(delta_f_hz=10.0, gamma=gamma)
+            single = estimate_rpm(trace, config)
+            picks = estimate_rpm_multi(trace, 2, config)
+            assert picks[0].fine_hz == single.fine_hz
+            assert single.coarse_hz == 5.0
+            assert all(pick.fine_hz >= config.f_min_hz for pick in picks)
 
 
 class TestOneStagedPath:

@@ -387,6 +387,16 @@ class TestForward:
         with pytest.raises(ValueError):
             ppsp_forward(np.zeros(31), w)
 
+    def test_inference_keeps_no_saves(self):
+        # only a training pass keeps intermediates for the backward pass
+        w = init_weights(small_config())
+        x = np.random.default_rng(2).uniform(size=(2, 1, 32))
+        probs, saves, stats = _forward(x, w, train=False)
+        assert saves == {} and stats is None
+        np.testing.assert_array_equal(probs[:, 0, :], ppsp_forward(x[:, 0, :], w))
+        _, train_saves, _ = _forward(x, w, train=True)
+        assert "enc0.proj" in train_saves and "dec0.cat" in train_saves
+
 
 def perturbed(config):
     """Initial weights with non-zero biases, so that folded biases count."""

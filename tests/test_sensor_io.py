@@ -1,4 +1,5 @@
 import json
+import wave
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from magrev.detector import (
 from magrev.dsp import NoiseReference
 from magrev.sensor_io import (
     PCM_FULL_SCALE,
+    POWER_OF_TWO,
     check_fields,
     integer,
     list_of,
@@ -95,6 +97,20 @@ class TestWav:
         back = load_trace_wav(tmp_path / "t.wav", volts_per_count=scale)
         means = back.channels.mean(axis=1)
         assert means[0] < means[1] < means[2]
+
+
+    def test_channels_are_c_contiguous_and_decoded_exactly(self, tmp_path):
+        path = tmp_path / "t.wav"
+        scale = save_trace_wav(small_trace(n_channels=4, n=1000), path)
+        with wave.open(str(path), "rb") as handle:
+            raw = handle.readframes(handle.getnframes())
+        for volts_per_count in (scale, 1.0, 2, 1e-4):
+            back = load_trace_wav(path, volts_per_count=volts_per_count)
+            # the two-step decode: widen to float64, then scale the transposed view
+            counts = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+            expected = counts.reshape(-1, 4).T * volts_per_count
+            assert back.channels.flags.c_contiguous
+            np.testing.assert_array_equal(back.channels, expected)
 
 
 class TestCsv:
@@ -324,6 +340,12 @@ class TestFieldKinds:
         _, accepts = list_of(real("> 0"), non_empty=True)
         assert accepts((1.0,)) and accepts([2, 3.5])
         assert not any(map(accepts, ([], [1.0, 0.0], 1.0)))
+
+    def test_power_of_two(self):
+        noun, accepts = POWER_OF_TWO
+        assert noun == "a power of two >= 2"
+        assert accepts(2) and accepts(8192) and accepts(np.int64(2**20))
+        assert not any(map(accepts, (1, 0, -2, -4, 3, 12, 512.0, True, "512")))
 
     def test_check_fields_names_the_key(self):
         kinds = {"epochs": integer(">= 0")}
