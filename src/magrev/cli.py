@@ -33,13 +33,13 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .detector import load_training_set, synthesize_training_set, train
-from .dsp import NoiseReference, default_segment_len, delay_and_sum, welch_psd
+from .dsp import NoiseReference
 from .estimator import (
     PipelineConfig,
     PipelineError,
     SpeedEstimate,
     detect_harmonics,
-    estimate_rpm,
+    enhanced_spectrum,
     estimate_rpm_multi,
 )
 from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
@@ -245,19 +245,10 @@ _DENOISE_FIELDS = {"max_lag_s": real(">= 0")}
 def _cmd_denoise(args) -> int:
     doc = _apply_sets({}, args.set)
     _check_keys(doc, _DENOISE_FIELDS, "denoise")
-    max_lag_s = doc.get("max_lag_s", PipelineConfig.max_lag_s)
+    config = PipelineConfig(**doc)
     trace = _load_trace(args.trace)
     reference = _load_reference(args.reference, trace.n_samples)
-    max_lag = int(round(max_lag_s * trace.sample_rate_hz))
-    try:
-        enhanced = delay_and_sum(trace, reference, max_lag=max_lag)
-    except ValueError as exc:
-        raise PipelineError("enhance", str(exc)) from exc
-    try:
-        segment = default_segment_len(trace.sample_rate_hz, enhanced.size)
-        spectrum = welch_psd(enhanced, trace.sample_rate_hz, segment_len=segment)
-    except ValueError as exc:
-        raise PipelineError("spectrum", str(exc)) from exc
+    enhanced, segment, spectrum = enhanced_spectrum(trace, config, noise_reference=reference)
     out = _out_dir(args)
     save_trace_csv(
         SensorTrace(channels=enhanced[None, :], sample_rate_hz=trace.sample_rate_hz),
@@ -270,7 +261,7 @@ def _cmd_denoise(args) -> int:
         {
             "trace": str(args.trace),
             "reference": str(args.reference) if args.reference else None,
-            "max_lag_s": max_lag_s,
+            "max_lag_s": config.max_lag_s,
             "segment_len": segment,
         },
     )
@@ -291,18 +282,13 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.multi is not None and args.multi < 1:
+        raise _ConfigError("--multi must be >= 1")
     config, config_doc = _pipeline_config(args)
     trace = _load_trace(args.trace)
     reference = _load_reference(args.reference, trace.n_samples)
     out = _out_dir(args)
-    if args.multi is not None:
-        if args.multi < 1:
-            raise _ConfigError("--multi must be >= 1")
-        estimates = estimate_rpm_multi(
-            trace, args.multi, config, noise_reference=reference
-        )
-    else:
-        estimates = [estimate_rpm(trace, config, noise_reference=reference)]
+    estimates = estimate_rpm_multi(trace, args.multi or 1, config, noise_reference=reference)
     doc = {
         "trace": str(args.trace),
         "pipeline": config_doc,

@@ -54,6 +54,7 @@ __all__ = [
     "load_training_set",
     "make_training_sample",
     "save_training_set",
+    "spectrum_features",
     "synthesize_training_set",
     "threshold_detector",
     "train",
@@ -148,13 +149,22 @@ def threshold_detector(spectrum: PowerSpectrum, quantile: float = 0.99) -> Detec
     return DetectionMap(probabilities=probs, bin_frequencies=spectrum.frequencies.copy())
 
 
-def detect_with_network(spectrum: PowerSpectrum, weights: PpspWeights) -> DetectionMap:
-    """Run the trained network on a (log-normalized) spectrum.
+def spectrum_features(spectrum: PowerSpectrum, input_bins: int) -> PowerSpectrum:
+    """The network's input format, shared by training and inference: the
+    first ``input_bins`` bins of a Welch spectrum, log-normalized."""
+    return log_normalize(
+        PowerSpectrum(
+            frequencies=spectrum.frequencies[:input_bins],
+            densities=spectrum.densities[:input_bins],
+            resolution_df=spectrum.resolution_df,
+        )
+    )
 
-    The spectrum must carry exactly ``input_bins`` bins; callers normally get
-    there via :func:`make_training_sample`'s feature path or by truncating a
-    Welch grid.
-    """
+
+def detect_with_network(spectrum: PowerSpectrum, weights: PpspWeights) -> DetectionMap:
+    """Run the trained network on a spectrum in its input format
+    (:func:`spectrum_features`), which must carry exactly ``input_bins``
+    bins."""
     n = weights.config.input_bins
     if spectrum.n_bins != n:
         raise ValueError(f"network expects {n} bins, spectrum has {spectrum.n_bins}")
@@ -209,7 +219,7 @@ def make_training_sample(
     segment_len: int | None = None,
     delta_f: float | None = None,
 ) -> TrainingSample:
-    """Welch spectrum, log normalization, truncation to the network's band,
+    """Welch spectrum, the network's input format (:func:`spectrum_features`)
     and the matching label mask."""
     if segment_len is None:
         segment_len = default_segment_len(trace.sample_rate_hz, trace.signal.size)
@@ -219,12 +229,7 @@ def make_training_sample(
             f"spectrum has {spec.n_bins} bins, need {input_bins}; "
             "use a longer segment or fewer input bins"
         )
-    band = PowerSpectrum(
-        frequencies=spec.frequencies[:input_bins],
-        densities=spec.densities[:input_bins],
-        resolution_df=spec.resolution_df,
-    )
-    features = log_normalize(band)
+    features = spectrum_features(spec, input_bins)
     mask = build_label_mask(
         trace.fundamental_hz, features.frequencies, delta_f=delta_f
     )

@@ -1,9 +1,9 @@
-"""Spectral denoising, delay-and-sum enhancement, and PSD utilities.
+"""Delay-and-sum enhancement and PSD utilities.
 
-Each channel's spectrum is divided by a background capture's magnitudes,
-floored at 1 so quiet bins pass untouched; the channels are then aligned to
-the first by a block-wise cross-correlation and summed.  Welch power spectra
-feed the detector and estimator stages.
+:func:`delay_and_sum` divides each channel's spectrum by a background
+capture's magnitudes, floored at 1 so quiet bins pass untouched, then aligns
+the channels to the first by a block-wise cross-correlation and sums them.
+Welch power spectra feed the detector and estimator stages.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _denoised(channels: np.ndarray, reference: NoiseReference) -> np.ndarray:
     background magnitudes.  A reference at or below the floor in every bin
     divides by exactly 1, so the channels come back as they are."""
     if channels.shape[-1] < 2:
-        raise ValueError("channel must be a 1-D signal")
+        raise ValueError("channels need at least two samples")
     expected = channels.shape[-1] // 2 + 1
     if reference.n_bins != expected:
         raise ValueError(
@@ -141,21 +141,6 @@ def _denoised(channels: np.ndarray, reference: NoiseReference) -> np.ndarray:
         return channels
     spectra = np.fft.rfft(channels, axis=-1) / np.maximum(reference.magnitudes, SPECTRAL_FLOOR)
     return np.fft.irfft(spectra, n=channels.shape[-1], axis=-1)
-
-
-def spectral_denoise(channel: np.ndarray, reference: NoiseReference) -> np.ndarray:
-    """Divide a channel's spectrum by the floored background magnitudes.
-
-    Bins whose background magnitude is below 1 are divided by 1 instead, so
-    the floor never amplifies.  Only magnitudes are divided; the channel's
-    phase is preserved exactly.  A reference at or below the floor in every
-    bin returns a copy of the channel, bit for bit.
-    """
-    x = np.asarray(channel, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("channel must be a 1-D signal")
-    out = _denoised(x, reference)
-    return x.copy() if out is x else out
 
 
 def _block_spectra(x: np.ndarray, lead: int, width: int, block: int, size: int) -> np.ndarray:
@@ -226,7 +211,9 @@ def delay_and_sum(
 ) -> np.ndarray:
     """Denoise every channel, align each to channel 0, and sum.
 
-    A single-channel trace returns its denoised channel.  Coherent content
+    Denoising divides only magnitudes, so each channel's phase is kept
+    exactly.  A single-channel trace returns its denoised channel, in a
+    fresh array even when the reference leaves it as it is.  Coherent content
     gains a factor of n_channels in amplitude while independent noise gains
     only sqrt(n_channels).  A reference at the floor skips the transforms,
     and channel 0 is transformed once for every other channel's lag search.

@@ -1,8 +1,10 @@
 """Rotation-speed estimation from harmonic detection maps.
 
-Every estimate runs one staged path.  :func:`detect_harmonics` is the front
-end: delay-and-sum enhancement, Welch spectrum, the analysis band, and the
-threshold or network detector.  :func:`estimate_rpm_multi` then repeats the
+Every estimate runs one staged path.  :func:`enhanced_spectrum` is the
+front end's first half: delay-and-sum enhancement and the Welch spectrum.
+:func:`detect_harmonics` adds the analysis band (the network's input
+format, :func:`magrev.detector.spectrum_features`) and the threshold or
+network detector.  :func:`estimate_rpm_multi` then repeats the
 coarse pick (:func:`coarse_estimate`) and the fine refinement
 (:func:`fine_estimate`), clearing each winner's harmonic evidence before the
 next pick; :func:`estimate_rpm` is its first pick.  Failures raise
@@ -32,16 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import DetectionMap, detect_with_network, threshold_detector
-from .dsp import (
-    NoiseReference,
-    PowerSpectrum,
-    default_segment_len,
-    delay_and_sum,
-    log_normalize,
-    welch_psd,
-    welch_zoom,
-)
+from .detector import DetectionMap, detect_with_network, spectrum_features, threshold_detector
+from .dsp import NoiseReference, PowerSpectrum, default_segment_len, delay_and_sum
+from .dsp import welch_psd, welch_zoom
 from .ppsp import PpspWeights
 from .sensor_io import POWER_OF_TWO, STRING, check_fields, integer, one_of, real
 from .signals import SensorTrace
@@ -57,6 +52,7 @@ __all__ = [
     "compute_likelihood",
     "default_harmonic_weights",
     "detect_harmonics",
+    "enhanced_spectrum",
     "estimate_rpm",
     "estimate_rpm_multi",
     "fine_estimate",
@@ -339,7 +335,6 @@ def fine_estimate(
     gamma: int = 50,
     delta_f_hz: float | None = None,
     f_min_hz: float = 0.0,
-    window: str = "hann",
 ) -> float:
     """Refine a coarse frequency on a gamma-times denser spectral grid.
 
@@ -370,8 +365,7 @@ def fine_estimate(
     freqs = bins * df
     sel = np.flatnonzero((freqs >= lo) & (freqs <= hi))
     densities = welch_zoom(
-        signal, sample_rate_hz, segment_len=segment_len, nfft=nfft, bins=bins[sel],
-        window=window,
+        signal, sample_rate_hz, segment_len=segment_len, nfft=nfft, bins=bins[sel]
     )
     if sel.size == 0:
         raise PipelineError(
@@ -385,20 +379,16 @@ def fine_estimate(
 # ---------------------------------------------------------------------------
 
 
-def detect_harmonics(
+def enhanced_spectrum(
     trace: SensorTrace,
     config: PipelineConfig | None = None,
     *,
     noise_reference: NoiseReference | None = None,
-    weights: PpspWeights | None = None,
-) -> tuple[np.ndarray, int, DetectionMap]:
-    """The front end: denoise + align + sum, Welch spectrum, the first
-    ``input_bins`` bins log-normalized, harmonic detection.
-
-    Returns the enhanced signal, the Welch segment length and the detection
-    map.  Failures raise :class:`PipelineError` tagged ``enhance``,
-    ``spectrum`` or ``detect``.
-    """
+) -> tuple[np.ndarray, int, PowerSpectrum]:
+    """The front end's first half: denoise + align + sum, then the Welch
+    spectrum.  Returns the enhanced signal, the Welch segment length and the
+    spectrum.  Failures raise :class:`PipelineError` tagged ``enhance`` or
+    ``spectrum``."""
     if config is None:
         config = PipelineConfig()
     fs = trace.sample_rate_hz
@@ -411,20 +401,35 @@ def detect_harmonics(
         raise PipelineError("enhance", str(exc)) from exc
     try:
         segment = config.welch_segment or default_segment_len(fs, enhanced.size)
-        spec = welch_psd(enhanced, fs, segment_len=segment)
+        return enhanced, segment, welch_psd(enhanced, fs, segment_len=segment)
     except ValueError as exc:
         raise PipelineError("spectrum", str(exc)) from exc
+
+
+def detect_harmonics(
+    trace: SensorTrace,
+    config: PipelineConfig | None = None,
+    *,
+    noise_reference: NoiseReference | None = None,
+    weights: PpspWeights | None = None,
+) -> tuple[np.ndarray, int, DetectionMap]:
+    """The front end: :func:`enhanced_spectrum`, its first ``input_bins``
+    bins log-normalized, harmonic detection.
+
+    Returns the enhanced signal, the Welch segment length and the detection
+    map.  Failures raise :class:`PipelineError` tagged ``enhance``,
+    ``spectrum`` or ``detect``.
+    """
+    if config is None:
+        config = PipelineConfig()
+    enhanced, segment, spec = enhanced_spectrum(
+        trace, config, noise_reference=noise_reference
+    )
     if config.detector == "network" and spec.n_bins < config.input_bins:
         raise PipelineError(
             "spectrum", f"need {config.input_bins} bins for the network, got {spec.n_bins}"
         )
-    band = log_normalize(
-        PowerSpectrum(
-            frequencies=spec.frequencies[: config.input_bins],
-            densities=spec.densities[: config.input_bins],
-            resolution_df=spec.resolution_df,
-        )
-    )
+    band = spectrum_features(spec, config.input_bins)
     if config.detector == "threshold":
         dmap = threshold_detector(band, quantile=config.threshold_quantile)
         return enhanced, segment, dmap

@@ -40,34 +40,12 @@ __all__ = [
     "SweepScenario",
     "autocorrelation_baseline",
     "calibrated_map_speed",
-    "default_sweep_scenario",
     "peak_detection_baseline",
     "run_distance_sweep",
     "run_ser_map",
-    "spearman_rank_correlation",
 ]
 
 ERROR_CAP_PCT = 100.0
-
-
-def _average_ranks(values) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of the ranks they span."""
-    _, inverse, counts = np.unique(
-        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
-    )
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
-def spearman_rank_correlation(x, y) -> float:
-    """Spearman rho (Pearson correlation of average ranks)."""
-    xr = _average_ranks(x)
-    yr = _average_ranks(y)
-    xr -= xr.mean()
-    yr -= yr.mean()
-    denom = math.sqrt(float(xr @ xr) * float(yr @ yr))
-    if denom == 0.0:
-        raise ValueError("rank correlation undefined for constant input")
-    return float(xr @ yr) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +158,8 @@ class SweepScenario:
     def __post_init__(self):
         """Real fields become floats, JSON lists the tuples above, and a
         ``pipeline`` dict a :class:`PipelineConfig`.  A value of the wrong kind
-        or out of range, or a network pipeline without weights, is a
-        ValueError that names its field."""
+        or out of range, a baseline band that is empty, or a network pipeline
+        without weights, is a ValueError that names its field."""
         if isinstance(self.pipeline, dict):
             object.__setattr__(self, "pipeline", PipelineConfig(**self.pipeline))
         elif not isinstance(self.pipeline, PipelineConfig):
@@ -189,6 +167,8 @@ class SweepScenario:
         check_fields(self, _SCENARIO_FIELDS)
         if self.pipeline.detector == "network" and self.pipeline.weights_path is None:
             raise ValueError("pipeline must give a weights_path for the network detector")
+        if not self.baseline_f_min_hz < self.baseline_f_max_hz:
+            raise ValueError("baseline_f_min_hz must be below baseline_f_max_hz")
         normalized = {
             **{f.name: float(getattr(self, f.name)) for f in fields(self) if f.type == "float"},
             "distances_cm": tuple(float(d) for d in self.distances_cm),
@@ -201,6 +181,7 @@ class SweepScenario:
         }
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
+        _sweep_sensing(self)  # the array and noise models check their own fields
 
     def fingerprint(self) -> str:
         return json_fingerprint(asdict(self))
@@ -211,18 +192,31 @@ _SCENARIO_FIELDS = {
     **{f.name: real() for f in fields(SweepScenario)},
     **dict.fromkeys(("sample_rate_hz", "duration_s"), real("> 0")),
     **dict.fromkeys(("distances_cm", "speeds_rpm"), list_of(real("> 0"), non_empty=True)),
+    **dict.fromkeys(("target_peak_rpm", "baseline_f_min_hz"), real("> 0")),
     "trials_per_cell": integer(">= 1"),
     "master_seed": integer(">= 0"),
     "sensor_positions_cm": pairs("[x, y]", real(), real()),
-    "harmonic_shape": pairs("[order, amplitude]", integer(), real()),
+    "harmonic_shape": pairs("[order, amplitude]", integer(">= 1"), real()),
     "mains": pairs("[frequency, amplitude]", real(), real()),
     "use_noise_reference": BOOLEAN,
     "pipeline": instance_of(PipelineConfig),
 }
 
 
-def default_sweep_scenario(**overrides) -> SweepScenario:
-    return SweepScenario(**overrides)
+def _sweep_sensing(scenario: SweepScenario) -> tuple[ArrayGeometry, NoiseProfile]:
+    """The sweep's sensor array and noise model."""
+    geometry = ArrayGeometry(
+        sensor_positions_cm=scenario.sensor_positions_cm,
+        effective_speed_cm_s=scenario.effective_speed_cm_s,
+        reference_distance_cm=scenario.reference_distance_cm,
+        amplitude_falloff_exponent=scenario.amplitude_falloff_exponent,
+    )
+    noise = NoiseProfile(
+        mains_components=scenario.mains,
+        broadband_sigma=scenario.broadband_sigma_v,
+        shared_fraction=scenario.shared_fraction,
+    )
+    return geometry, noise
 
 
 @dataclass
@@ -329,18 +323,7 @@ def run_distance_sweep(
     weights = None
     if scenario.pipeline.detector == "network":
         weights = PpspWeights.load(scenario.pipeline.weights_path)
-    geometry = ArrayGeometry(
-        sensor_positions_cm=scenario.sensor_positions_cm,
-        effective_speed_cm_s=scenario.effective_speed_cm_s,
-        reference_distance_cm=scenario.reference_distance_cm,
-        amplitude_falloff_exponent=scenario.amplitude_falloff_exponent,
-    )
-    noise = NoiseProfile(
-        mains_components=scenario.mains,
-        broadband_sigma=scenario.broadband_sigma_v,
-        shared_fraction=scenario.shared_fraction,
-    )
-    setup = (geometry, noise, CoilParams(), weights)
+    setup = (*_sweep_sensing(scenario), CoilParams(), weights)
     # errors[method][distance index] holds one error per (speed, trial)
     errors = {m: [[] for _ in scenario.distances_cm] for m in METHODS}
     dropped = dict.fromkeys(METHODS, 0)
@@ -426,18 +409,9 @@ class SerMap:
     values: np.ndarray  # shape (len(y_cm), len(x_cm))
     delta_t_s: float
 
-    def value_at(self, x: float, y: float) -> float:
-        ix = int(np.argmin(np.abs(self.x_cm - x)))
-        iy = int(np.argmin(np.abs(self.y_cm - y)))
-        return float(self.values[iy, ix])
-
     def peak(self) -> tuple[float, float, float]:
         iy, ix = np.unravel_index(int(np.nanargmax(self.values)), self.values.shape)
         return float(self.x_cm[ix]), float(self.y_cm[iy]), float(self.values[iy, ix])
-
-    def region_at_least(self, threshold: float) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return self.values >= threshold
 
     def save_csv(self, path: str | Path) -> None:
         write_table(

@@ -37,7 +37,6 @@ unfolded outputs and gradients differ only by floating-point rounding.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import zipfile
@@ -393,9 +392,8 @@ class PpspWeights:
             )
             for group, table in (("params", self.params), ("bn_state", self.bn_state)):
                 for name, arr in table.items():
-                    buf = io.BytesIO()
-                    buf.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-                    zf.writestr(entry(f"{group}/{name}.f64"), buf.getvalue())
+                    data = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+                    zf.writestr(entry(f"{group}/{name}.f64"), data)
 
     @classmethod
     def load(cls, path: str | Path) -> "PpspWeights":

@@ -22,6 +22,13 @@ import numpy as np
 MU_0 = 4.0e-7 * math.pi
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; the booleans and strings ``float`` takes are refused."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class MotorProfile:
     """Harmonic description of one rotating source.
@@ -42,16 +49,19 @@ class MotorProfile:
     position_cm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        self.period_s = float(self.period_s)
+        self.period_s = _real("period_s", self.period_s)
         if not (self.period_s > 0.0 and math.isfinite(self.period_s)):
             raise ValueError("period_s must be positive and finite")
         orders = [k for k, _, _ in self.harmonics]
-        if any(int(k) != k or k < 1 for k in orders):
+        if any(isinstance(k, bool) or int(k) != k or k < 1 for k in orders):
             raise ValueError("harmonic orders must be integers >= 1")
         if len(set(orders)) != len(orders):
             raise ValueError("harmonic orders must be distinct")
-        self.harmonics = [(int(k), float(d), float(p)) for k, d, p in self.harmonics]
-        self.position_cm = (float(self.position_cm[0]), float(self.position_cm[1]))
+        self.harmonics = [
+            (int(k), _real("harmonics", d), _real("harmonics", p)) for k, d, p in self.harmonics
+        ]
+        x, y = self.position_cm
+        self.position_cm = (_real("position_cm", x), _real("position_cm", y))
 
     @property
     def fundamental_hz(self) -> float:
@@ -89,11 +99,11 @@ class CoilParams:
     area_m2: float = 3.14e-4
 
     def __post_init__(self):
-        self.relative_permeability = float(self.relative_permeability)
-        if isinstance(self.turns, bool) or not float(self.turns).is_integer():
+        self.relative_permeability = _real("relative_permeability", self.relative_permeability)
+        if isinstance(self.turns, (bool, str)) or not float(self.turns).is_integer():
             raise ValueError(f"turns must be an integer, got {self.turns!r}")
         self.turns = int(self.turns)
-        self.area_m2 = float(self.area_m2)
+        self.area_m2 = _real("area_m2", self.area_m2)
         if self.relative_permeability <= 0 or self.turns < 1 or self.area_m2 <= 0:
             raise ValueError("coil parameters must be positive")
 
@@ -121,13 +131,13 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if len(self.sensor_positions_cm) < 1:
-            raise ValueError("at least one sensor position is required")
+            raise ValueError("sensor_positions_cm needs at least one position")
         self.sensor_positions_cm = [
-            (float(x), float(y)) for x, y in self.sensor_positions_cm
+            (_real("sensor_positions_cm", x), _real("sensor_positions_cm", y))
+            for x, y in self.sensor_positions_cm
         ]
-        self.effective_speed_cm_s = float(self.effective_speed_cm_s)
-        self.reference_distance_cm = float(self.reference_distance_cm)
-        self.amplitude_falloff_exponent = float(self.amplitude_falloff_exponent)
+        for name in ("effective_speed_cm_s", "reference_distance_cm", "amplitude_falloff_exponent"):
+            setattr(self, name, _real(name, getattr(self, name)))
         if self.effective_speed_cm_s <= 0:
             raise ValueError("effective_speed_cm_s must be positive")
         if self.reference_distance_cm <= 0:
@@ -161,10 +171,11 @@ class NoiseProfile:
 
     def __post_init__(self):
         self.mains_components = [
-            (float(f), float(a)) for f, a in self.mains_components
+            (_real("mains_components", f), _real("mains_components", a))
+            for f, a in self.mains_components
         ]
-        self.broadband_sigma = float(self.broadband_sigma)
-        self.shared_fraction = float(self.shared_fraction)
+        self.broadband_sigma = _real("broadband_sigma", self.broadband_sigma)
+        self.shared_fraction = _real("shared_fraction", self.shared_fraction)
         if any(f <= 0 or a < 0 for f, a in self.mains_components):
             raise ValueError("mains components need positive frequency, amplitude >= 0")
         if self.broadband_sigma < 0:

@@ -119,6 +119,11 @@ class TestSimulate:
             ("motor=5", "motor"),
             ("coil.turns=2.7", "turns"),
             ("coil.turns=true", "turns"),
+            ("noise.shared_fraction=true", "'noise' section: shared_fraction"),
+            ('noise.broadband_sigma="0.1"', "'noise' section: broadband_sigma"),
+            ("geometry.effective_speed_cm_s=true", "'geometry' section: effective_speed_cm_s"),
+            ("motor.period_s=true", "'motor' section: period_s"),
+            ("coil.area_m2=true", "'coil' section: area_m2"),
         ],
     )
     def test_bad_value_is_config_error_naming_its_key(
@@ -178,6 +183,19 @@ class TestEstimate:
         doc = json.loads((out / "estimate.json").read_text())
         assert len(doc["estimates"]) == 1
         assert "harmonic_shortfall" in doc["estimates"][0]["flags"]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_multi_below_one_is_config_error_before_any_output(
+        self, tmp_path, sensing_config, capsys, count
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        out = tmp_path / "multi"
+        code = main([
+            "estimate", "--trace", str(sim / "trace.wav"), "--multi", count, "--out", str(out),
+        ])
+        assert code == 2
+        assert "--multi must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_weights_flag_selects_network_detector(self, tmp_path, sensing_config):
         samples = make_sample_dir(tmp_path)
@@ -604,6 +622,33 @@ class TestBench:
         assert code == 2
         assert f"{key} must be " in capsys.readouterr().err
         assert not (out / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ("shared_fraction=2", "shared_fraction"),
+            ("amplitude_falloff_exponent=1.5", "amplitude_falloff_exponent"),
+            ("effective_speed_cm_s=-1", "effective_speed_cm_s"),
+            ("reference_distance_cm=0", "reference_distance_cm"),
+            ("broadband_sigma_v=-0.1", "broadband_sigma"),
+            ("mains=[[-60,0.1]]", "mains"),
+            ("sensor_positions_cm=[]", "sensor_positions_cm"),
+            ("harmonic_shape=[[0,1.0]]", "harmonic_shape"),
+            ("target_peak_rpm=-5", "target_peak_rpm"),
+            ("baseline_f_min_hz=200", "baseline_f_min_hz"),
+        ],
+    )
+    def test_array_noise_and_baseline_band_are_checked_before_any_output(
+        self, tmp_path, capsys, entry, named
+    ):
+        out = tmp_path / "x"
+        code = main([
+            "bench", "--seed", "3", "--set", "distances_cm=[5]", "--set", "speeds_rpm=[3000]",
+            "--set", "trials_per_cell=1", "--set", entry, "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_welch_segment_not_a_power_of_two_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -12,12 +12,15 @@ from magrev.detector import (
     load_training_set,
     make_training_sample,
     save_training_set,
+    spectrum_features,
     synthesize_training_set,
     threshold_detector,
     train,
 )
-from magrev.dsp import PowerSpectrum
+from magrev.dsp import NoiseReference, PowerSpectrum
+from magrev.estimator import enhanced_spectrum
 from magrev.ppsp import PpspConfig, init_weights
+from magrev.signals import SensorTrace
 
 from conftest import tone
 
@@ -203,6 +206,23 @@ class TestTrainingSamples:
         trace = labeled_94hz_trace()
         with pytest.raises(ValueError):
             make_training_sample(trace, input_bins=4096, segment_len=2048)
+
+    def test_features_equal_the_inference_front_end(self):
+        # training and inference share one input format: the same signal as
+        # a one-channel capture with a unity reference gives the same
+        # features, bit for bit
+        fs = 2048.0
+        signal = labeled_94hz_trace().signal + np.random.default_rng(3).normal(0.0, 0.5, 8192)
+        sample = make_training_sample(
+            LabeledTrace(signal=signal, sample_rate_hz=fs, fundamental_hz=94.0), input_bins=1024
+        )
+        _, _, spectrum = enhanced_spectrum(
+            SensorTrace(channels=signal[None, :], sample_rate_hz=fs),
+            noise_reference=NoiseReference.unity(signal.size),
+        )
+        features = spectrum_features(spectrum, 1024)
+        assert features.densities.tobytes() == sample.features.tobytes()
+        assert features.frequencies.tobytes() == sample.bin_frequencies.tobytes()
 
 
 class TestAugment:

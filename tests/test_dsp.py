@@ -11,7 +11,6 @@ from magrev.dsp import (
     log_normalize,
     resample,
     shift_signal,
-    spectral_denoise,
     welch_psd,
     welch_zoom,
 )
@@ -179,17 +178,17 @@ class TestLogNormalize:
 class TestNoiseReference:
     def test_unity_reference_is_identity(self):
         # dividing by the floor of 1 is exact, so a reference at or below it
-        # in every bin runs no transform: the output is the input bit for
-        # bit, in a fresh array
+        # in every bin runs no transform: a one-channel delay-and-sum returns
+        # the channel bit for bit, in a fresh array
         x = tone(97.0, 8192.0, 8192, amp=0.3) + 0.1
         for reference in (
             NoiseReference.unity(x.size),
             NoiseReference(magnitudes=np.full(4097, 0.5)),
             NoiseReference(magnitudes=np.linspace(0.0, 1.0, 4097)),
         ):
-            out = spectral_denoise(x, reference)
+            out = delay_and_sum(SensorTrace(x[None, :], 8192.0), reference, max_lag=0)
             np.testing.assert_array_equal(out, x)
-            assert out is not x
+            assert not np.shares_memory(out, x)
 
     def test_smoothed_reference_has_no_deep_dips(self):
         # dividing by a raw transform of a noise capture amplifies its
@@ -233,13 +232,15 @@ class TestNoiseReference:
 
 
 class TestSpectralDenoise:
+    """The denoising step of a one-channel delay-and-sum."""
+
     def test_suppresses_line_present_in_reference(self):
         fs, n = 8192.0, 8192
         rng = np.random.default_rng(3)
         capture = tone(60.0, fs, n, amp=0.5, phase=1.0) + rng.normal(0, 0.005, n)
         ref = NoiseReference.from_signal(capture)
         signal = tone(60.0, fs, n, amp=0.5) + tone(97.0, fs, n, amp=0.05)
-        out = spectral_denoise(signal, ref)
+        out = delay_and_sum(SensorTrace(signal[None, :], fs), ref, max_lag=0)
         spec = welch_psd(out, fs, segment_len=8192)
         p60 = spec.densities[int(round(60 / spec.resolution_df))]
         p97 = spec.densities[int(round(97 / spec.resolution_df))]
@@ -247,7 +248,9 @@ class TestSpectralDenoise:
 
     def test_bin_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            spectral_denoise(np.zeros(100), NoiseReference.unity(64))
+            delay_and_sum(
+                SensorTrace(np.zeros((1, 100)), 1.0), NoiseReference.unity(64), max_lag=0
+            )
 
 
 class TestDelayEstimation:

@@ -17,6 +17,7 @@ from magrev.estimator import (
     compute_likelihood,
     default_harmonic_weights,
     detect_harmonics,
+    enhanced_spectrum,
     estimate_rpm,
     estimate_rpm_multi,
     fine_estimate,
@@ -330,6 +331,25 @@ class TestEstimateRpm:
         with pytest.raises(PipelineError) as err:
             estimate_rpm(trace, PipelineConfig(detector="network"))
         assert err.value.stage == "detect"
+
+
+class TestEnhancedSpectrum:
+    def test_is_the_first_half_of_detect_harmonics(self):
+        trace = four_sensor_trace(3000.0)
+        enhanced, segment, spectrum = enhanced_spectrum(trace)
+        front_enhanced, front_segment, _ = detect_harmonics(trace)
+        np.testing.assert_array_equal(enhanced, front_enhanced)
+        assert segment == front_segment == 8192
+        assert spectrum.n_bins == segment // 2 + 1
+
+    def test_failures_are_tagged_enhance_and_spectrum(self):
+        flat = SensorTrace(channels=np.zeros((4, 8192)), sample_rate_hz=8192.0)
+        with pytest.raises(PipelineError) as err:
+            enhanced_spectrum(flat)
+        assert err.value.stage == "enhance"
+        with pytest.raises(PipelineError) as err:
+            enhanced_spectrum(four_sensor_trace(3000.0), PipelineConfig(welch_segment=2**20))
+        assert err.value.stage == "spectrum"
 
 
 class TestEstimateRpmMulti:

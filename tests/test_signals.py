@@ -94,7 +94,7 @@ class TestFieldAndVoltage:
         assert coil.scale == pytest.approx(MU_0 * 100.0 * 10 * 2.0)
 
     def test_coil_turns_must_be_integral(self):
-        for bad in (2.7, True, float("inf")):
+        for bad in (2.7, True, "3500", float("inf")):
             with pytest.raises(ValueError, match="^turns must be an integer"):
                 CoilParams(turns=bad)
         assert CoilParams(turns=3500.0).turns == CoilParams(turns=np.int64(3500)).turns == 3500
@@ -103,6 +103,58 @@ class TestFieldAndVoltage:
         p = make_profile(rpm=60000.0)  # 3rd harmonic at 3 kHz
         with pytest.raises(ValueError):
             induce_voltage(p, CoilParams(), 0.1, 4000.0)
+
+
+class TestRealFieldsRefuseBooleansAndStrings:
+    """``float`` takes JSON's true and "0.1"; the sensing sections do not."""
+
+    @staticmethod
+    def refused(build, cases):
+        for bad in (True, "0.1"):
+            for key, kwargs in cases(bad):
+                with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+                    build(**kwargs)
+
+    def test_motor_profile(self):
+        def build(**kwargs):
+            return MotorProfile(**{"period_s": 0.02, "harmonics": [(1, 1.0, 0.0)], **kwargs})
+
+        self.refused(build, lambda bad: [
+            ("period_s", {"period_s": bad}),
+            ("harmonics", {"harmonics": [(1, bad, 0.0)]}),
+            ("harmonics", {"harmonics": [(1, 1.0, bad)]}),
+            ("position_cm", {"position_cm": (bad, 0.0)}),
+        ])
+        with pytest.raises(ValueError, match="^harmonic orders must be integers"):
+            build(harmonics=[(True, 1.0, 0.0)])
+        assert build(period_s=np.float64(0.02), position_cm=(1, 2)).position_cm == (1.0, 2.0)
+
+    def test_array_geometry(self):
+        def build(**kwargs):
+            return ArrayGeometry(**{"sensor_positions_cm": [(0.0, 0.0)], **kwargs})
+
+        self.refused(build, lambda bad: [
+            ("sensor_positions_cm", {"sensor_positions_cm": [(0.0, bad)]}),
+            *((key, {key: bad}) for key in (
+                "effective_speed_cm_s", "reference_distance_cm", "amplitude_falloff_exponent"
+            )),
+        ])
+        assert build(effective_speed_cm_s=np.int64(500)).effective_speed_cm_s == 500.0
+
+    def test_noise_profile(self):
+        self.refused(NoiseProfile, lambda bad: [
+            ("mains_components", {"mains_components": [(60.0, bad)]}),
+            ("broadband_sigma", {"broadband_sigma": bad}),
+            ("shared_fraction", {"shared_fraction": bad}),
+        ])
+        assert NoiseProfile(broadband_sigma=1).broadband_sigma == 1.0
+
+    def test_coil_params(self):
+        self.refused(CoilParams, lambda bad: [
+            ("relative_permeability", {"relative_permeability": bad}),
+            ("area_m2", {"area_m2": bad}),
+        ])
+        assert CoilParams(area_m2=np.float32(0.5)).area_m2 == 0.5
 
 
 class TestPathLoss:
