@@ -11,7 +11,7 @@ Conventions shared by all subcommands:
 * ``--config PATH`` loads a JSON document; ``--set key=value`` (repeatable)
   overrides single entries, with dots for nesting (``pipeline.gamma=100``).
   Values parse as JSON, falling back to plain strings.  Every key is
-  checked against its section's table of field kinds (``magrev.sensor_io``)
+  checked against its section's table of field kinds (``magrev.fields``)
   before anything runs, so an unknown or invalid key exits 2 and is named.
   Whether ``welch_segment`` (a power of two) fits a capture is known only
   once the trace is read, so a misfit fails the spectrum stage (exit 4;
@@ -43,18 +43,15 @@ from .estimator import (
     estimate_rpm_multi,
 )
 from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
+from .fields import OBJECT, check_fields, integer, real
 from .ppsp import PpspConfig, TrainingDivergedError
 from .sensor_io import (
-    OBJECT,
     SENSING_FIELDS,
-    check_fields,
-    integer,
     json_fingerprint,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
     read_json,
-    real,
     save_trace_csv,
     save_trace_wav,
     write_json,
@@ -215,6 +212,7 @@ def _cmd_simulate(args) -> int:
     coil = parsed.get("coil") or CoilParams()
     duration = float(args.duration if args.duration is not None else doc.get("duration_s", 1.0))
     fs = float(args.fs if args.fs is not None else doc.get("sample_rate_hz", 8192.0))
+    _check_keys({"duration_s": duration, "sample_rate_hz": fs}, SENSING_FIELDS, "simulate")
     try:
         trace = simulate_mixture(motors, geometry, noise, coil, duration, fs, seed)
     except ValueError as exc:

@@ -37,8 +37,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .detector import DetectionMap, detect_with_network, spectrum_features, threshold_detector
 from .dsp import NoiseReference, PowerSpectrum, default_segment_len, delay_and_sum
 from .dsp import welch_psd, welch_zoom
+from .fields import POWER_OF_TWO, STRING, check_fields, integer, list_of, one_of, real
 from .ppsp import PpspWeights
-from .sensor_io import POWER_OF_TWO, STRING, check_fields, integer, one_of, real
 from .signals import SensorTrace
 
 __all__ = [
@@ -163,17 +163,19 @@ class SpeedEstimate:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self.fine_hz = float(self.fine_hz)
-        self.coarse_hz = float(self.coarse_hz)
-        self.rpm = float(self.rpm)
-        self.confidence = float(self.confidence)
-        self.flags = tuple(self.flags)
+        check_fields(self, _ESTIMATE_FIELDS)
 
     CSV_HEADER = ("rpm", "fine_hz", "coarse_hz", "confidence", "flags")
 
     def csv_row(self) -> tuple:
         flags = ";".join(self.flags)
         return (self.rpm, self.fine_hz, self.coarse_hz, self.confidence, flags)
+
+
+_ESTIMATE_FIELDS = {
+    **dict.fromkeys(("fine_hz", "coarse_hz", "rpm", "confidence"), real()),
+    "flags": list_of(STRING),
+}
 
 
 # ---------------------------------------------------------------------------

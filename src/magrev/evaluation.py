@@ -21,8 +21,8 @@ import numpy as np
 
 from .dsp import NoiseReference, default_segment_len, welch_psd
 from .estimator import PipelineConfig, PipelineError, estimate_rpm
+from .fields import BOOLEAN, check_fields, instance_of, integer, list_of, real, row
 from .ppsp import PpspWeights
-from .sensor_io import BOOLEAN, check_fields, instance_of, integer, list_of, pairs, real
 from .sensor_io import json_fingerprint, write_json, write_table
 from .signals import (
     ArrayGeometry,
@@ -158,8 +158,8 @@ class SweepScenario:
     def __post_init__(self):
         """Real fields become floats, JSON lists the tuples above, and a
         ``pipeline`` dict a :class:`PipelineConfig`.  A value of the wrong kind
-        or out of range, a baseline band that is empty, or a network pipeline
-        without weights, is a ValueError that names its field."""
+        or out of range, an empty baseline band, a motor shape no trial can
+        use, or a network pipeline without weights, is a ValueError naming its field."""
         if isinstance(self.pipeline, dict):
             object.__setattr__(self, "pipeline", PipelineConfig(**self.pipeline))
         elif not isinstance(self.pipeline, PipelineConfig):
@@ -169,19 +169,7 @@ class SweepScenario:
             raise ValueError("pipeline must give a weights_path for the network detector")
         if not self.baseline_f_min_hz < self.baseline_f_max_hz:
             raise ValueError("baseline_f_min_hz must be below baseline_f_max_hz")
-        normalized = {
-            **{f.name: float(getattr(self, f.name)) for f in fields(self) if f.type == "float"},
-            "distances_cm": tuple(float(d) for d in self.distances_cm),
-            "speeds_rpm": tuple(float(s) for s in self.speeds_rpm),
-            "sensor_positions_cm": tuple(
-                (float(x), float(y)) for x, y in self.sensor_positions_cm
-            ),
-            "harmonic_shape": tuple((int(k), float(a)) for k, a in self.harmonic_shape),
-            "mains": tuple((float(f), float(a)) for f, a in self.mains),
-        }
-        for name, value in normalized.items():
-            object.__setattr__(self, name, value)
-        _sweep_sensing(self)  # the array and noise models check their own fields
+        _sweep_sensing(self)  # the motor, array and noise models check their own fields
 
     def fingerprint(self) -> str:
         return json_fingerprint(asdict(self))
@@ -195,16 +183,27 @@ _SCENARIO_FIELDS = {
     **dict.fromkeys(("target_peak_rpm", "baseline_f_min_hz"), real("> 0")),
     "trials_per_cell": integer(">= 1"),
     "master_seed": integer(">= 0"),
-    "sensor_positions_cm": pairs("[x, y]", real(), real()),
-    "harmonic_shape": pairs("[order, amplitude]", integer(">= 1"), real()),
-    "mains": pairs("[frequency, amplitude]", real(), real()),
+    "sensor_positions_cm": list_of(row("[x, y]", real(), real())),
+    "harmonic_shape": list_of(row("[order, amplitude]", integer(">= 1"), real())),
+    "mains": list_of(row("[frequency, amplitude]", real(), real())),
     "use_noise_reference": BOOLEAN,
     "pipeline": instance_of(PipelineConfig),
 }
 
 
 def _sweep_sensing(scenario: SweepScenario) -> tuple[ArrayGeometry, NoiseProfile]:
-    """The sweep's sensor array and noise model."""
+    """The sweep's sensor array and noise model, after checking the motor
+    shape at the fastest speed a trial simulates."""
+    fastest = max(*scenario.speeds_rpm, scenario.target_peak_rpm)
+    try:
+        motor = MotorProfile.from_rpm(fastest, [(k, a, 0.0) for k, a in scenario.harmonic_shape])
+    except ValueError as exc:
+        raise ValueError(f"harmonic_shape: {exc}") from None
+    if not any(a for _, a in scenario.harmonic_shape):
+        raise ValueError("harmonic_shape needs an amplitude other than 0")
+    if scenario.sample_rate_hz <= 2.0 * motor.max_harmonic_hz:
+        raise ValueError(f"speeds_rpm and target_peak_rpm reach {fastest} RPM, with harmonics "
+                         f"up to {motor.max_harmonic_hz} Hz: sample_rate_hz is too low")
     geometry = ArrayGeometry(
         sensor_positions_cm=scenario.sensor_positions_cm,
         effective_speed_cm_s=scenario.effective_speed_cm_s,
@@ -472,7 +471,7 @@ def run_ser_map(
     silent = NoiseProfile(mains_components=(), broadband_sigma=0.0, shared_fraction=0.0)
     coil = CoilParams()
     geometry = ArrayGeometry(
-        sensor_positions_cm=list(sensor_positions_cm),
+        sensor_positions_cm=sensor_positions_cm,
         effective_speed_cm_s=effective_speed_cm_s,
     )
     sensor_xy = np.asarray(sensor_positions_cm, dtype=np.float64)

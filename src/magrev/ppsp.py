@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sensor_io import ODD, check_fields, integer, list_of, real
+from .fields import ODD, check_fields, integer, list_of, real
 
 FORMAT_VERSION = 1
 
@@ -79,12 +79,6 @@ class PpspConfig:
 
     def __post_init__(self):
         check_fields(self, _PPSP_FIELDS)
-        object.__setattr__(
-            self, "multiscale_kernel_widths", tuple(self.multiscale_kernel_widths)
-        )
-        object.__setattr__(
-            self, "pyramid_pool_kernels", tuple(self.pyramid_pool_kernels)
-        )
         stride_total = self.pool_kernel**self.encoder_levels
         if self.input_bins % stride_total != 0:
             raise ValueError(

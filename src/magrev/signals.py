@@ -15,18 +15,13 @@ in Hz, field amplitudes in tesla-like arbitrary units, voltages in volts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fields import check_fields, integer, list_of, real, row
+
 MU_0 = 4.0e-7 * math.pi
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; the booleans and strings ``float`` takes are refused."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -37,7 +32,7 @@ class MotorProfile:
     ----------
     period_s : float
         Rotation period P in seconds.  The fundamental frequency is 1/P.
-    harmonics : list of (order, amplitude, phase)
+    harmonics : tuple of (order, amplitude, phase)
         Field harmonic components (k, D_k, phi_k); the field contribution of
         component k is D_k * cos(2*pi*k*t/P - phi_k).
     position_cm : tuple of float
@@ -45,23 +40,14 @@ class MotorProfile:
     """
 
     period_s: float
-    harmonics: list[tuple[int, float, float]]
+    harmonics: tuple[tuple[int, float, float], ...]
     position_cm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        self.period_s = _real("period_s", self.period_s)
-        if not (self.period_s > 0.0 and math.isfinite(self.period_s)):
-            raise ValueError("period_s must be positive and finite")
+        check_fields(self, _MOTOR_FIELDS)
         orders = [k for k, _, _ in self.harmonics]
-        if any(isinstance(k, bool) or int(k) != k or k < 1 for k in orders):
-            raise ValueError("harmonic orders must be integers >= 1")
         if len(set(orders)) != len(orders):
             raise ValueError("harmonic orders must be distinct")
-        self.harmonics = [
-            (int(k), _real("harmonics", d), _real("harmonics", p)) for k, d, p in self.harmonics
-        ]
-        x, y = self.position_cm
-        self.position_cm = (_real("position_cm", x), _real("position_cm", y))
 
     @property
     def fundamental_hz(self) -> float:
@@ -73,9 +59,7 @@ class MotorProfile:
 
     @property
     def max_harmonic_hz(self) -> float:
-        if not self.harmonics:
-            return 0.0
-        return max(k for k, _, _ in self.harmonics) / self.period_s
+        return max((k for k, _, _ in self.harmonics), default=0) / self.period_s
 
     @classmethod
     def from_rpm(cls, rpm: float, harmonics, **kwargs) -> "MotorProfile":
@@ -88,6 +72,12 @@ class MotorProfile:
         return replace(self, position_cm=position_cm)
 
 
+_MOTOR_FIELDS = {
+    "period_s": real("> 0"),
+    "harmonics": list_of(row("[order, amplitude, phase]", integer(">= 1"), real(), real())),
+    "position_cm": row("[x, y]", real(), real()),
+}
+
 
 @dataclass
 class CoilParams:
@@ -99,18 +89,14 @@ class CoilParams:
     area_m2: float = 3.14e-4
 
     def __post_init__(self):
-        self.relative_permeability = _real("relative_permeability", self.relative_permeability)
-        if isinstance(self.turns, (bool, str)) or not float(self.turns).is_integer():
-            raise ValueError(f"turns must be an integer, got {self.turns!r}")
-        self.turns = int(self.turns)
-        self.area_m2 = _real("area_m2", self.area_m2)
-        if self.relative_permeability <= 0 or self.turns < 1 or self.area_m2 <= 0:
-            raise ValueError("coil parameters must be positive")
+        check_fields(self, _COIL_FIELDS)
 
     @property
     def scale(self) -> float:
         return MU_0 * self.relative_permeability * self.turns * self.area_m2
 
+
+_COIL_FIELDS = dict(relative_permeability=real("> 0"), turns=integer(">= 1"), area_m2=real("> 0"))
 
 
 @dataclass
@@ -124,26 +110,13 @@ class ArrayGeometry:
     power falls off with twice that exponent.
     """
 
-    sensor_positions_cm: list[tuple[float, float]]
+    sensor_positions_cm: tuple[tuple[float, float], ...]
     effective_speed_cm_s: float = 1000.0
     reference_distance_cm: float = 5.0
     amplitude_falloff_exponent: float = 2.0
 
     def __post_init__(self):
-        if len(self.sensor_positions_cm) < 1:
-            raise ValueError("sensor_positions_cm needs at least one position")
-        self.sensor_positions_cm = [
-            (_real("sensor_positions_cm", x), _real("sensor_positions_cm", y))
-            for x, y in self.sensor_positions_cm
-        ]
-        for name in ("effective_speed_cm_s", "reference_distance_cm", "amplitude_falloff_exponent"):
-            setattr(self, name, _real(name, getattr(self, name)))
-        if self.effective_speed_cm_s <= 0:
-            raise ValueError("effective_speed_cm_s must be positive")
-        if self.reference_distance_cm <= 0:
-            raise ValueError("reference_distance_cm must be positive")
-        if self.amplitude_falloff_exponent < 2.0:
-            raise ValueError("amplitude_falloff_exponent must be >= 2")
+        check_fields(self, _GEOMETRY_FIELDS)
 
     @property
     def n_sensors(self) -> int:
@@ -155,6 +128,13 @@ class ArrayGeometry:
         return np.sqrt(((pos - src) ** 2).sum(axis=1))
 
 
+_GEOMETRY_FIELDS = {
+    "sensor_positions_cm": list_of(row("[x, y]", real(), real()), non_empty=True),
+    "effective_speed_cm_s": real("> 0"),
+    "reference_distance_cm": real("> 0"),
+    "amplitude_falloff_exponent": real(">= 2"),
+}
+
 
 @dataclass
 class NoiseProfile:
@@ -165,29 +145,25 @@ class NoiseProfile:
     is sigma^2 + sum(A_j^2 / 2) regardless of the split.
     """
 
-    mains_components: list[tuple[float, float]] = field(default_factory=list)
+    mains_components: tuple[tuple[float, float], ...] = ()
     broadband_sigma: float = 0.0
     shared_fraction: float = 0.0
 
     def __post_init__(self):
-        self.mains_components = [
-            (_real("mains_components", f), _real("mains_components", a))
-            for f, a in self.mains_components
-        ]
-        self.broadband_sigma = _real("broadband_sigma", self.broadband_sigma)
-        self.shared_fraction = _real("shared_fraction", self.shared_fraction)
-        if any(f <= 0 or a < 0 for f, a in self.mains_components):
-            raise ValueError("mains components need positive frequency, amplitude >= 0")
-        if self.broadband_sigma < 0:
-            raise ValueError("broadband_sigma must be >= 0")
-        if not 0.0 <= self.shared_fraction <= 1.0:
-            raise ValueError("shared_fraction must be in [0, 1]")
+        check_fields(self, _NOISE_FIELDS)
 
     @property
     def is_silent(self) -> bool:
         return self.broadband_sigma == 0.0 and not any(
             a > 0 for _, a in self.mains_components
         )
+
+
+_NOISE_FIELDS = {
+    "mains_components": list_of(row("[frequency, amplitude]", real("> 0"), real(">= 0"))),
+    "broadband_sigma": real(">= 0"),
+    "shared_fraction": real("in [0, 1]"),
+}
 
 
 @dataclass

@@ -124,6 +124,21 @@ class TestSimulate:
             ("geometry.effective_speed_cm_s=true", "'geometry' section: effective_speed_cm_s"),
             ("motor.period_s=true", "'motor' section: period_s"),
             ("coil.area_m2=true", "'coil' section: area_m2"),
+            ("geometry.amplitude_falloff_exponent=Infinity",
+             "bad 'geometry' section: amplitude_falloff_exponent must be a finite real "
+             "number >= 2, got inf"),
+            ("geometry.effective_speed_cm_s=Infinity",
+             "bad 'geometry' section: effective_speed_cm_s must be a finite real number > 0"),
+            ("noise.broadband_sigma=NaN", "bad 'noise' section: broadband_sigma must be "),
+            ("noise.broadband_sigma=Infinity", "bad 'noise' section: broadband_sigma must be "),
+            ("noise.mains_components=[[60,Infinity]]",
+             "bad 'noise' section: mains_components must be "),
+            ("motor.harmonics=[[1,NaN,0]]", "bad 'motor' section: harmonics must be "),
+            ("motor.harmonics=[[0,1,0]]", "bad 'motor' section: harmonics must be "),
+            ("motor.position_cm=[NaN,0]", "bad 'motor' section: position_cm must be "),
+            ("coil.area_m2=Infinity", "bad 'coil' section: area_m2 must be "),
+            ("coil.relative_permeability=0", "bad 'coil' section: relative_permeability must be "),
+            ("coil.turns=3500.0", "bad 'coil' section: turns must be an integer >= 1, got 3500.0"),
         ],
     )
     def test_bad_value_is_config_error_naming_its_key(
@@ -136,6 +151,23 @@ class TestSimulate:
         ])
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--fs", "inf", "sample_rate_hz"), ("--fs", "nan", "sample_rate_hz"),
+         ("--duration", "inf", "duration_s"), ("--duration", "-1", "duration_s")],
+    )
+    def test_duration_and_rate_flags_take_their_keys_kinds(
+        self, tmp_path, sensing_config, capsys, flag, value, key
+    ):
+        out = tmp_path / "x"
+        code = main([
+            "simulate", "--config", str(sensing_config), "--seed", "7",
+            "--out", str(out), flag, value,
+        ])
+        assert code == 2
+        assert f"simulate key {key} must be a finite real number > 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -253,6 +285,18 @@ class TestEstimate:
         ])
         assert code == 2
         assert field in capsys.readouterr().err
+
+    def test_integer_spelling_of_a_real_keeps_the_default_fingerprint(
+        self, tmp_path, sensing_config
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        metas = []
+        for name, extra in (("default", ()), ("spelled", ("--set", "f_min_hz=5"))):
+            out = tmp_path / name
+            code = main(["estimate", "--trace", str(sim / "trace.csv"), "--out", str(out), *extra])
+            assert code == 0
+            metas.append((out / "meta.json").read_bytes())
+        assert metas[0] == metas[1]
 
     def test_short_reference_row_is_io_error(self, tmp_path, sensing_config, capsys):
         sim = simulate(tmp_path, sensing_config)
@@ -636,6 +680,9 @@ class TestBench:
             ("harmonic_shape=[[0,1.0]]", "harmonic_shape"),
             ("target_peak_rpm=-5", "target_peak_rpm"),
             ("baseline_f_min_hz=200", "baseline_f_min_hz"),
+            ("harmonic_shape=[[1,1.0],[1,0.5]]", "harmonic_shape: harmonic orders must be"),
+            ("harmonic_shape=[[1,0.0]]", "harmonic_shape needs an amplitude"),
+            ("speeds_rpm=[300000]", "speeds_rpm"),
         ],
     )
     def test_array_noise_and_baseline_band_are_checked_before_any_output(

@@ -106,6 +106,11 @@ class TestScenario:
         assert spelled.fingerprint() == "bb72fb091ebb4e46"
         assert type(spelled.duration_s) is float
 
+    def test_integer_spelling_inside_the_pipeline_keeps_the_pinned_fingerprint(self):
+        spelled = SweepScenario(pipeline={"f_min_hz": 5})
+        assert type(spelled.pipeline.f_min_hz) is float
+        assert spelled.fingerprint() == SweepScenario().fingerprint() == "bb72fb091ebb4e46"
+
     def test_json_lists_and_pipeline_dict_normalize(self):
         a = SweepScenario(
             distances_cm=[5, 25], sensor_positions_cm=[[-4, 0], [4, 0]],

@@ -12,18 +12,14 @@ from magrev.detector import (
     save_training_set,
 )
 from magrev.dsp import NoiseReference
+from magrev.fields import POWER_OF_TWO, check_fields, integer, list_of, real, row
 from magrev.sensor_io import (
     PCM_FULL_SCALE,
-    POWER_OF_TWO,
-    check_fields,
-    integer,
-    list_of,
     load_trace_csv,
     load_trace_wav,
     parse_sensing_config,
     read_json,
     read_table,
-    real,
     save_trace_csv,
     save_trace_wav,
     write_table,
@@ -329,23 +325,51 @@ class TestSensingConfig:
 
 class TestFieldKinds:
     def test_ranges_bound_the_kind(self):
-        noun, accepts = integer(">= 2")
+        noun, accepts, _ = integer(">= 2")
         assert noun == "an integer >= 2"
         assert accepts(2) and accepts(np.int64(7))
         assert not any(map(accepts, (1, 2.0, True, "3")))
-        noun, accepts = real("in (0, 1]")
+        noun, accepts, _ = real("in (0, 1]")
         assert noun == "a finite real number in (0, 1]"
         assert accepts(1) and accepts(np.float64(0.5))
         assert not any(map(accepts, (0.0, 1.5, float("nan"), "0.5", False)))
-        _, accepts = list_of(real("> 0"), non_empty=True)
+        _, accepts, _ = list_of(real("> 0"), non_empty=True)
         assert accepts((1.0,)) and accepts([2, 3.5])
         assert not any(map(accepts, ([], [1.0, 0.0], 1.0)))
 
     def test_power_of_two(self):
-        noun, accepts = POWER_OF_TWO
+        noun, accepts, _ = POWER_OF_TWO
         assert noun == "a power of two >= 2"
         assert accepts(2) and accepts(8192) and accepts(np.int64(2**20))
         assert not any(map(accepts, (1, 0, -2, -4, 3, 12, 512.0, True, "512")))
+
+    def test_canonical_forms(self):
+        *_, as_float = real()
+        *_, as_int = integer()
+        assert type(as_float(np.int64(3))) is float and type(as_int(np.int64(3))) is int
+        noun, accepts, canonical = list_of(row("[order, amplitude]", integer(">= 1"), real()))
+        assert noun == (
+            "a list, each item [order, amplitude] with order an integer >= 1, "
+            "amplitude a finite real number"
+        )
+        assert accepts([[1, 2]]) and accepts(((1, 2.0),)) and accepts([])
+        assert not any(map(accepts, ([[1]], [[1, 2, 3]], [[0, 2]], [[1, float("inf")]], [1, 2])))
+        assert canonical([[1, 2], [np.int64(3), np.float32(0.5)]]) == ((1, 2.0), (3, 0.5))
+        assert [type(v) for v in canonical([[1, 2]])[0]] == [int, float]
+
+    def test_check_fields_stores_a_dataclass_in_canonical_form(self):
+        @dataclass(frozen=True)
+        class Knobs:
+            rate: float = 1.0
+            sizes: tuple = ()
+
+        kinds = {"rate": real("> 0"), "sizes": list_of(integer(">= 1"))}
+        knobs = Knobs(rate=2, sizes=[np.int64(3)])
+        check_fields(knobs, kinds)
+        assert knobs == Knobs(rate=2.0, sizes=(3,)) and type(knobs.rate) is float
+        doc = {"rate": 2, "sizes": [3]}
+        check_fields(doc, kinds)
+        assert doc == {"rate": 2, "sizes": [3]} and type(doc["rate"]) is int
 
     def test_check_fields_names_the_key(self):
         kinds = {"epochs": integer(">= 0")}

@@ -94,15 +94,64 @@ class TestFieldAndVoltage:
         assert coil.scale == pytest.approx(MU_0 * 100.0 * 10 * 2.0)
 
     def test_coil_turns_must_be_integral(self):
-        for bad in (2.7, True, "3500", float("inf")):
-            with pytest.raises(ValueError, match="^turns must be an integer"):
+        for bad in (2.7, 3500.0, True, "3500", float("inf"), 0):
+            with pytest.raises(ValueError, match="^turns must be an integer >= 1"):
                 CoilParams(turns=bad)
-        assert CoilParams(turns=3500.0).turns == CoilParams(turns=np.int64(3500)).turns == 3500
+        turns = CoilParams(turns=np.int64(3500)).turns
+        assert turns == 3500 and type(turns) is int
 
     def test_nyquist_guard(self):
         p = make_profile(rpm=60000.0)  # 3rd harmonic at 3 kHz
         with pytest.raises(ValueError):
             induce_voltage(p, CoilParams(), 0.1, 4000.0)
+
+
+class TestCanonicalForms:
+    """JSON spellings (lists, integers for reals, NumPy scalars) are stored as
+    tuples, floats and ints, so equal configurations compare equal."""
+
+    @staticmethod
+    def assert_types(value, expected):
+        if isinstance(expected, tuple):
+            assert type(value) is tuple and len(value) == len(expected)
+            for item, kind in zip(value, expected):
+                TestCanonicalForms.assert_types(item, kind)
+        else:
+            assert type(value) is expected
+
+    def test_motor_profile(self):
+        p = MotorProfile(period_s=1, harmonics=[[1, 1, 0], [np.int64(2), 0.5, np.float32(1)]],
+                         position_cm=[0, np.float64(3)])
+        self.assert_types(p.period_s, float)
+        self.assert_types(p.harmonics, ((int, float, float), (int, float, float)))
+        self.assert_types(p.position_cm, (float, float))
+        assert p == MotorProfile(period_s=1.0, harmonics=((1, 1.0, 0.0), (2, 0.5, 1.0)),
+                                 position_cm=(0.0, 3.0))
+
+    def test_coil_params(self):
+        c = CoilParams(relative_permeability=300, turns=np.int64(10), area_m2=np.float32(0.5))
+        self.assert_types((c.relative_permeability, c.turns, c.area_m2), (float, int, float))
+
+    def test_array_geometry(self):
+        g = ArrayGeometry(sensor_positions_cm=[[-4, 0], [4, 0]], effective_speed_cm_s=500,
+                          reference_distance_cm=np.int32(5), amplitude_falloff_exponent=2)
+        self.assert_types(g.sensor_positions_cm, ((float, float), (float, float)))
+        self.assert_types(
+            (g.effective_speed_cm_s, g.reference_distance_cm, g.amplitude_falloff_exponent),
+            (float, float, float),
+        )
+
+    def test_noise_profile(self):
+        n = NoiseProfile(mains_components=[[60, 1]], broadband_sigma=0, shared_fraction=1)
+        self.assert_types(n.mains_components, ((float, float),))
+        self.assert_types((n.broadband_sigma, n.shared_fraction), (float, float))
+        assert NoiseProfile().mains_components == ()
+
+    def test_lists_write_the_same_json(self):
+        p = MotorProfile(period_s=0.02, harmonics=[[1, 1.0, 0.0]], position_cm=[1.0, 2.0])
+        assert json.loads(json.dumps(asdict(p))) == {
+            "period_s": 0.02, "harmonics": [[1, 1.0, 0.0]], "position_cm": [1.0, 2.0]
+        }
 
 
 class TestRealFieldsRefuseBooleansAndStrings:
@@ -112,7 +161,7 @@ class TestRealFieldsRefuseBooleansAndStrings:
     def refused(build, cases):
         for bad in (True, "0.1"):
             for key, kwargs in cases(bad):
-                with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+                with pytest.raises(ValueError, match=f"^{key} must be .*a finite real number"):
                     build(**kwargs)
 
     def test_motor_profile(self):
@@ -125,7 +174,7 @@ class TestRealFieldsRefuseBooleansAndStrings:
             ("harmonics", {"harmonics": [(1, 1.0, bad)]}),
             ("position_cm", {"position_cm": (bad, 0.0)}),
         ])
-        with pytest.raises(ValueError, match="^harmonic orders must be integers"):
+        with pytest.raises(ValueError, match=r"^harmonics must be a list, .* an integer >= 1"):
             build(harmonics=[(True, 1.0, 0.0)])
         assert build(period_s=np.float64(0.02), position_cm=(1, 2)).position_cm == (1.0, 2.0)
 
