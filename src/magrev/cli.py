@@ -334,14 +334,9 @@ def _cmd_train(args) -> int:
         samples = synthesize_training_set(
             doc.get("count", 16), seed, input_bins=net_config.input_bins
         )
+    options = {key: doc[key] for key in ("batch_size", "learning_rate", "dice_eps") if key in doc}
     weights, history = train(
-        samples,
-        net_config,
-        epochs=doc.get("epochs", 30),
-        batch_size=doc.get("batch_size", 8),
-        learning_rate=doc.get("learning_rate", 1e-3),
-        seed=seed,
-        dice_eps=doc.get("dice_eps", 1.0),
+        samples, net_config, epochs=doc.get("epochs", 30), seed=seed, **options
     )
     out = _out_dir(args)
     weights.save(out / "weights.ppsp")

@@ -15,11 +15,15 @@ next pick; :func:`estimate_rpm` is its first pick.  Failures raise
 The coarse stage treats every spectral bin between ``f_min`` and half the
 analysis band as a candidate fundamental and scores it by a weighted sum of
 detection evidence at its integer multiples: ``score(g) = sum_k beta_k *
-p(k*g)``, where ``p`` is the per-bin detection probability softened by a
-``+/- delta_f`` neighborhood maximum.  Candidates whose higher multiples are
-entirely absent from the binarized detection map are removed before the
-argmax; that one rule is what keeps half- and double-speed impostors from
-winning on partial evidence.
+p(k*g)``.  Rung ``k`` of a fundamental ``g`` covers one window: the bins
+within ``round(delta_f / bin)`` of the grid bin nearest ``k*g`` (rounding
+half to even), clipped to the band; a rung whose centre falls outside the
+band covers nothing.  :func:`_ladder` finds the centres and :func:`_widen`
+the windows, and the scores (``p`` is the detection probability widened over
+the window), the support rule and the clearing between picks all read that
+one rule.  Candidates with no binarized detection on rungs ``2..n_support``
+are removed before the argmax; that one rule is what keeps half- and
+double-speed impostors from winning on partial evidence.
 
 The fine stage re-reads the enhanced time signal on the grid of a Welch
 transform zero-padded to ``gamma`` times the segment length, evaluated only
@@ -32,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import DetectionMap, detect_with_network, spectrum_features, threshold_detector
 from .dsp import NoiseReference, PowerSpectrum, default_segment_len, delay_and_sum
@@ -189,18 +192,19 @@ def _grid_spacing(freqs: np.ndarray) -> float:
     return float(freqs[1] - freqs[0])
 
 
-def _window_radius_bins(delta_f: float, spacing: float) -> int:
-    return max(0, int(round(delta_f / spacing)))
+def _radius(freqs: np.ndarray, delta_f: float) -> int:
+    """Half-width in bins of a rung's window."""
+    return max(0, int(round(delta_f / _grid_spacing(freqs))))
 
 
-def _soft_probabilities(dmap: DetectionMap, delta_f: float) -> np.ndarray:
-    """Per-bin probability softened by a +/- delta_f neighborhood max (bins
-    past either end count as 0)."""
-    r = _window_radius_bins(delta_f, _grid_spacing(dmap.bin_frequencies))
-    if r == 0:
-        return dmap.probabilities
-    padded = np.pad(dmap.probabilities, r)
-    return sliding_window_view(padded, 2 * r + 1).max(axis=1)
+def _widen(values: np.ndarray, r: int) -> np.ndarray:
+    """Each bin's maximum over the bins within ``r`` of it, 0 past the ends."""
+    n = values.size
+    padded = np.concatenate((np.zeros(r, values.dtype), values, np.zeros(r, values.dtype)))
+    out = padded[:n].copy()
+    for shift in range(1, 2 * r + 1):
+        np.maximum(out, padded[shift : shift + n], out=out)
+    return out
 
 
 def _candidate_indices(freqs: np.ndarray, f_min: float) -> np.ndarray:
@@ -230,11 +234,11 @@ def _ladder(freqs: np.ndarray, candidate_hz: np.ndarray, m: int) -> np.ndarray:
 def _ladder_features(
     dmap: DetectionMap, f_min_hz: float, delta_f: float, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate fundamentals and the softened probability at each one's
+    """Candidate fundamentals and the widened probability at each one's
     first m multiples (0 beyond the band), one row per candidate."""
     freqs = dmap.bin_frequencies
     candidate_hz = freqs[_candidate_indices(freqs, f_min_hz)]
-    soft = np.append(_soft_probabilities(dmap, delta_f), 0.0)
+    soft = np.append(_widen(dmap.probabilities, _radius(freqs, delta_f)), 0.0)
     return candidate_hz, soft[_ladder(freqs, candidate_hz, m)]
 
 
@@ -270,20 +274,16 @@ def _support_mask(
     detection_threshold: float,
 ) -> np.ndarray:
     """Which candidates keep their place: those with a binarized detection
-    within +/- delta_f of at least one low multiple (2nd up to the
-    n_support-th, clipped to the band).  No detected multiple at all means
-    the candidate is an artifact of a single strong bin and is removed."""
+    in the window of at least one low rung (2nd up to the n_support-th,
+    clipped to the band).  No detected rung at all means the candidate is an
+    artifact of a single strong bin and is removed."""
     freqs = dmap.bin_frequencies
-    r = _window_radius_bins(delta_f, _grid_spacing(freqs))
-    ladder = _ladder(freqs, candidate_hz, n_support)
     orders = np.arange(1, n_support + 1)
     top = np.floor(float(freqs[-1]) / candidate_hz)
-    tested = (ladder < freqs.size) & (orders >= 2) & (orders <= top[:, None])
-    # detections in [lo, hi) from a prefix sum over the binarized map
-    hits = np.concatenate(([0], np.cumsum(dmap.binarize(detection_threshold))))
-    lo = np.maximum(ladder - r, 0)
-    hi = np.minimum(ladder + r + 1, freqs.size)
-    return np.any(tested & (hits[hi] > hits[lo]), axis=1)
+    tested = (orders >= 2) & (orders <= top[:, None])
+    binary = dmap.binarize(detection_threshold)
+    near = np.append(_widen(binary, _radius(freqs, delta_f)), False)
+    return np.any(tested & near[_ladder(freqs, candidate_hz, n_support)], axis=1)
 
 
 def coarse_estimate(
@@ -396,8 +396,14 @@ def enhanced_spectrum(
     fs = trace.sample_rate_hz
     if noise_reference is None:
         noise_reference = NoiseReference.unity(trace.n_samples)
+    max_lag = int(round(config.max_lag_s * fs))
+    if trace.n_channels > 1 and max_lag >= trace.n_samples // 2:
+        raise PipelineError(
+            "enhance",
+            f"max_lag_s={config.max_lag_s} is {max_lag} samples; the capture has "
+            f"{trace.n_samples}, and aligning coils needs at least {2 * max_lag + 2}",
+        )
     try:
-        max_lag = int(round(config.max_lag_s * fs))
         enhanced = delay_and_sum(trace, noise_reference, max_lag=max_lag)
     except ValueError as exc:
         raise PipelineError("enhance", str(exc)) from exc
@@ -464,43 +470,25 @@ def _cleared_bins(
 ) -> np.ndarray:
     """Mask of the bins that clearing a pick at ``fine_hz`` zeroes.
 
-    Every multiple up to ``band_max + delta_f`` that lands in the band opens
-    a window of ``+/- delta_f``; each window then grows over the binarized
-    runs that touch its ends, so a leakage cluster dies whole.  Windows grow
-    independently against the same binarized map, so their union is taken
-    once, with a difference array.
+    Every rung ``k`` with ``k * fine_hz <= band_max + delta_f`` whose centre
+    lands in the band opens its window; every binarized run that overlaps or
+    touches a window is cleared with it, so a leakage cluster dies whole.
     """
     freqs = dmap.bin_frequencies
-    n = freqs.size
-    r = _window_radius_bins(delta_f, _grid_spacing(freqs))
     limit = float(freqs[-1]) + delta_f
-    if fine_hz > 0.0:
-        # the largest k with k * fine_hz <= limit, decided by the same float
-        # products that counting k up one at a time would test
-        orders = int(limit // fine_hz)
-        while (orders + 1) * fine_hz <= limit:
-            orders += 1
-        while orders > 0 and orders * fine_hz > limit:
-            orders -= 1
-    else:
-        orders = 1  # every multiple of a 0 Hz pick is the same bin
-    centres = _ladder(freqs, np.array([fine_hz]), orders)[0]
-    centres = centres[centres < n]
-    lo = np.maximum(centres - r, 0)
-    hi = np.minimum(centres + r + 1, n)
-    # first and one-past-last bin of the binarized run holding each bin
+    # limit // fine_hz can round either way, so the products decide; every
+    # multiple of a 0 Hz pick is the same bin
+    orders = np.arange(1, int(limit // fine_hz) + 3) if fine_hz > 0.0 else np.ones(1)
+    centres = _ladder(freqs, np.array([fine_hz]), np.count_nonzero(orders * fine_hz <= limit))[0]
+    window = np.zeros(freqs.size + 1, dtype=bool)
+    window[centres] = True
+    window = _widen(window[:-1], _radius(freqs, delta_f))
+    # number each binarized run, then clear the runs that reach a window
     binary = dmap.binarize(threshold)
-    idx = np.arange(n)
-    opens = binary & ~np.concatenate(([False], binary[:-1]))
-    closes = binary & ~np.concatenate((binary[1:], [False]))
-    run_start = np.maximum.accumulate(np.where(opens, idx, 0))
-    run_stop = np.minimum.accumulate(np.where(closes, idx + 1, n)[::-1])[::-1]
-    left = np.maximum(lo - 1, 0)
-    lo = np.where((lo > 0) & binary[left], run_start[left], lo)
-    right = np.minimum(hi, n - 1)
-    hi = np.where((hi < n) & binary[right], run_stop[right], hi)
-    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
-    return depth[:n] > 0
+    run = np.cumsum(binary & ~np.concatenate(([False], binary[:-1])))
+    reached = np.zeros(run[-1] + 1, dtype=bool)
+    reached[run[binary & _widen(window, 1)]] = True
+    return window | (binary & reached[run])
 
 
 def estimate_rpm_multi(
@@ -615,7 +603,7 @@ def fit_beta(
 
     Each map contributes one positive row (the candidate bin nearest the true
     fundamental, target 1) and one negative row per remaining candidate
-    (target 0); features are the softened detection probabilities at the
+    (target 0); features are the widened detection probabilities at the
     candidate's first ``m_harmonics`` multiples.  The weights are the ridge
     posterior mean over all rows.
     """

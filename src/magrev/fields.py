@@ -22,11 +22,13 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """A finite real number; an integer too large for a float is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _same(value):

@@ -485,6 +485,24 @@ class TestTrain:
         for name in ("weights.ppsp", "history.csv", "meta.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_training_keys_at_their_defaults_train_the_same_weights(self, tmp_path):
+        samples = make_sample_dir(tmp_path)
+        runs = {}
+        for name, entry in (
+            ("none", ()),
+            ("batch_size", ("--set", "batch_size=8")),
+            ("learning_rate", ("--set", "learning_rate=0.001")),
+            ("dice_eps", ("--set", "dice_eps=1.0")),
+        ):
+            out = tmp_path / name
+            code = main([
+                "train", "--samples", str(samples), "--seed", "5",
+                "--out", str(out), "--set", "epochs=2", *TINY_NET_SETS, *entry,
+            ])
+            assert code == 0
+            runs[name] = [(out / f).read_bytes() for f in ("weights.ppsp", "history.csv")]
+        assert all(run == runs["none"] for run in runs.values())
+
     def test_unknown_key_is_config_error(self, tmp_path):
         samples = make_sample_dir(tmp_path)
         for entry in ("optimizer=sgd", "network.dropout=0.1", "network=5"):
@@ -607,7 +625,12 @@ class TestSermap:
 
     @pytest.mark.parametrize(
         "entry, key",
-        [("step_cm=0", "step_cm"), ("step_cm=[1]", "step_cm"), ("grid=fine", "grid")],
+        [
+            ("step_cm=0", "step_cm"),
+            ("step_cm=[1]", "step_cm"),
+            ("grid=fine", "grid"),
+            pytest.param("step_cm=1" + "0" * 400, "step_cm", id="step_cm=1e400-step_cm"),
+        ],
     )
     def test_bad_key_is_config_error_naming_it(self, tmp_path, capsys, entry, key):
         out = tmp_path / "x"

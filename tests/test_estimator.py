@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -81,6 +82,7 @@ class TestPipelineConfig:
             dict(gamma=2.5),
             dict(m_harmonics=None),
             dict(f_min_hz="5"),
+            dict(f_min_hz=10**400),  # too large for a float
             dict(delta_f_hz=False),
             dict(threshold_quantile=float("nan")),
             dict(detection_threshold=None),
@@ -352,6 +354,21 @@ class TestEnhancedSpectrum:
         assert err.value.stage == "spectrum"
 
 
+    @pytest.mark.parametrize(
+        "n_samples, fs, message",
+        [
+            (2, 8192.0, "max_lag_s=0.01 is 82 samples; the capture has 2, "),
+            (16, 8192.0, "max_lag_s=0.01 is 82 samples; the capture has 16, "),
+            (8192, 1e6, "max_lag_s=0.01 is 10000 samples; the capture has 8192, "),
+        ],
+    )
+    def test_a_capture_too_short_for_the_lag_names_both(self, n_samples, fs, message):
+        rng = np.random.default_rng(n_samples)
+        trace = SensorTrace(channels=rng.normal(size=(4, n_samples)), sample_rate_hz=fs)
+        with pytest.raises(PipelineError, match="^" + re.escape("[enhance] " + message)) as err:
+            estimate_rpm(trace)
+        assert err.value.stage == "enhance"
+
 class TestEstimateRpmMulti:
     def test_separates_two_motors(self):
         from magrev.signals import ArrayGeometry, CoilParams
@@ -534,6 +551,31 @@ class TestOneStagedPath:
         assert not np.allclose(beta.values, default_harmonic_weights().values)
         self.check(four_sensor_trace(3300.0, int(rng.integers(0, 2**31))), config, beta)
 
+
+class TestDenseSpeedSweep:
+    def test_quick_start_scene_from_10_8_to_150_hz(self):
+        """The README quick-start scene (two harmonics, 60 Hz mains, seed 7)
+        at every 0.1 Hz from 10.8 to 150 Hz.  When written, 797 of the 1393
+        reads were off by more than 0.05 Hz and 138 by more than 1 Hz, none
+        of them flagged.  649 of the 797 read low: the coarse score ties
+        neighbouring bins, ties go to the lower one, and the fine window is
+        only +/- delta_f wide.  114 of the 138 read the 60 Hz mains line.
+        The bounds are those counts, for a better tie or rung rule to lower."""
+        from magrev.signals import ArrayGeometry, CoilParams
+
+        geometry = ArrayGeometry(
+            sensor_positions_cm=((-12.0, 30.0), (-4.0, 30.0), (4.0, 30.0), (12.0, 30.0)),
+        )
+        noise = NoiseProfile(mains_components=((60.0, 0.0005),), broadband_sigma=0.0005)
+        speeds_hz = np.arange(108, 1501) / 10.0
+        errors = np.empty(speeds_hz.size)
+        for i, f0 in enumerate(speeds_hz):
+            motor = MotorProfile.from_rpm(60.0 * f0, harmonics=[(1, 1.0, 0.0), (2, 0.5, 0.7)])
+            trace = simulate_mixture([motor], geometry, noise, CoilParams(), 1.0, 8192.0, 7)
+            errors[i] = abs(estimate_rpm(trace).fine_hz - f0)
+        assert speeds_hz.size == 1393
+        assert np.count_nonzero(errors > 0.05) <= 797
+        assert np.count_nonzero(errors > 1.0) <= 138
 
 class TestFitBeta:
     def make_ladder_map(self, f0: int) -> DetectionMap:
