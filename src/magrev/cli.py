@@ -8,14 +8,18 @@ the two-sensor alignment map.
 
 Conventions shared by all subcommands:
 
-* ``--config PATH`` loads a JSON document; ``--set key=value`` (repeatable)
-  overrides single entries, with dots for nesting (``pipeline.gamma=100``).
-  Values parse as JSON, falling back to plain strings.  Every key is
-  checked against its section's table of field kinds (``magrev.fields``)
-  before anything runs, so an unknown or invalid key exits 2 and is named.
-  Whether ``welch_segment`` (a power of two) fits a capture is known only
-  once the trace is read, so a misfit fails the spectrum stage (exit 4;
-  ``bench`` counts those trials as failed).
+* settings are read by one path (:func:`_settings`): the ``--config PATH``
+  JSON document, then each ``--set key=value`` (repeatable; dots nest, as in
+  ``pipeline.gamma=100``; values parse as JSON, falling back to plain
+  strings), then flags such as ``simulate --duration``.  :func:`_checked`
+  then checks them against their section's table of field kinds, which
+  lives beside the code it configures, or builds the settings dataclass.
+  An unknown or invalid key exits 2 as ``<section> key <k> ...`` before
+  anything runs or ``--out`` is created.  Whether ``welch_segment`` (a power
+  of two) fits a capture is known only once the trace is read, so a misfit
+  fails the spectrum stage (exit 4; ``bench`` counts those trials as failed).
+* ``--background CAPTURE`` (``denoise``, ``detect``, ``estimate``) is a
+  noise-only capture of the trace's shape to denoise against.
 * commands that draw randomness require ``--seed``; given the same seed and
   config they write byte-identical outputs.
 * ``--out DIR`` names the output directory (created if needed); every run
@@ -32,9 +36,10 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .detector import load_training_set, synthesize_training_set, train
+from .detector import TRAINING_FIELDS, load_training_set, synthesize_training_set, train
 from .dsp import NoiseReference
 from .estimator import (
+    ENHANCE_FIELDS,
     PipelineConfig,
     PipelineError,
     SpeedEstimate,
@@ -42,8 +47,8 @@ from .estimator import (
     enhanced_spectrum,
     estimate_rpm_multi,
 )
-from .evaluation import SweepScenario, run_distance_sweep, run_ser_map
-from .fields import OBJECT, check_fields, integer, real
+from .evaluation import SERMAP_FIELDS, SweepScenario, run_distance_sweep, run_ser_map
+from .fields import check_fields, construct
 from .ppsp import PpspConfig, TrainingDivergedError
 from .sensor_io import (
     SENSING_FIELDS,
@@ -57,13 +62,7 @@ from .sensor_io import (
     write_json,
     write_table,
 )
-from .signals import (
-    ArrayGeometry,
-    CoilParams,
-    NoiseProfile,
-    SensorTrace,
-    simulate_mixture,
-)
+from .signals import ArrayGeometry, CoilParams, NoiseProfile, SensorTrace, simulate_mixture
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,21 +70,13 @@ EXIT_IO = 3
 EXIT_PIPELINE = 4
 
 
-class _ConfigError(Exception):
-    pass
-
-
-class _IoError(Exception):
-    pass
-
-
 def _parse_set(entry: str) -> tuple[list[str], object]:
     if "=" not in entry:
-        raise _ConfigError(f"--set needs key=value, got '{entry}'")
+        raise ValueError(f"--set needs key=value, got '{entry}'")
     key, _, raw = entry.partition("=")
     key = key.strip()
     if not key:
-        raise _ConfigError(f"--set needs a non-empty key in '{entry}'")
+        raise ValueError(f"--set needs a non-empty key in '{entry}'")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -93,7 +84,7 @@ def _parse_set(entry: str) -> tuple[list[str], object]:
     return key.split("."), value
 
 
-def _apply_sets(doc: dict, entries) -> dict:
+def _apply_sets(doc: dict, entries) -> None:
     for entry in entries or ():
         path, value = _parse_set(entry)
         node = doc
@@ -102,24 +93,36 @@ def _apply_sets(doc: dict, entries) -> dict:
                 node[part] = {}
             node = node[part]
         node[path[-1]] = value
+
+
+def _settings(args, defaults=None, **given) -> dict:
+    """A subcommand's settings document, read in one order: ``defaults``,
+    the --config document (where the subcommand has one), each --set, then
+    every flag value in ``given`` that is not None."""
+    doc = dict(defaults or {})
+    if getattr(args, "config", None) is not None:
+        config = read_json(args.config)  # its OSError and ValueError name the file
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: top level must be a JSON object")
+        doc.update(config)
+    _apply_sets(doc, args.set)
+    doc.update((key, value) for key, value in given.items() if value is not None)
     return doc
 
 
-def _load_json_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
+def _checked(section: str, doc: dict, spec):
+    """``doc`` as the ``section`` settings: checked against ``spec`` when it
+    is a table of field kinds (and returned), or built into ``spec`` when it
+    is a settings dataclass (and the instance returned).  An unknown key, a
+    value not of its kind or the constructor's TypeError or ValueError is a
+    ValueError that reads ``<section> key ...`` (exit 2)."""
     try:
-        data = read_json(p)
-    except FileNotFoundError as exc:
-        raise _IoError(f"{p}: config file not found") from exc
-    except OSError as exc:
-        raise _IoError(f"{p}: {exc}") from exc
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-    if not isinstance(data, dict):
-        raise _ConfigError(f"{p}: top level must be a JSON object")
-    return data
+        if isinstance(spec, dict):
+            check_fields(doc, spec)
+            return doc
+        return construct(spec, doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{section} key {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -127,63 +130,50 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _IoError(f"{out}: cannot create output directory ({exc})") from exc
+        raise OSError(f"{out}: cannot create output directory ({exc})") from exc
     return out
 
 
 def _require_seed(args) -> int:
     if args.seed is None:
-        raise _ConfigError("this command draws randomness: --seed is required")
+        raise ValueError("this command draws randomness: --seed is required")
     return int(args.seed)
 
 
 def _load_trace(path: str) -> SensorTrace:
     p = Path(path)
-    if not p.exists():
-        raise _IoError(f"{p}: trace file not found")
     try:
         if p.suffix.lower() == ".wav":
             return load_trace_wav(p)
         return load_trace_csv(p)
     except (ValueError, OSError) as exc:
-        raise _IoError(f"{p}: cannot read trace ({exc})") from exc
+        raise OSError(f"{p}: cannot read trace ({exc})") from exc
 
 
-def _load_reference(path: str | None, n_samples: int) -> NoiseReference:
-    if path is None:
-        return NoiseReference.unity(n_samples)
-    p = Path(path)
-    if not p.exists():
-        raise _IoError(f"{p}: noise reference not found")
-    try:
-        return NoiseReference.load_csv(p)
-    except (ValueError, OSError) as exc:
-        raise _IoError(f"{p}: cannot read noise reference ({exc})") from exc
+def _noise_reference(args, trace: SensorTrace) -> NoiseReference:
+    """The reference of the --background capture, or the unity one."""
+    if args.background is None:
+        return NoiseReference.unity(trace.n_samples)
+    background = _load_trace(args.background)
+    shape = (background.n_samples, background.sample_rate_hz)
+    if shape != (trace.n_samples, trace.sample_rate_hz):
+        raise ValueError(
+            f"{args.background} has {shape[0]} samples at {shape[1]} Hz, but {args.trace} "
+            f"has {trace.n_samples} at {trace.sample_rate_hz} Hz: the background must match"
+        )
+    return NoiseReference.from_signal(background.channels[0])
 
 
 def _keys(cls) -> list[str]:
     return sorted(f.name for f in fields(cls))
 
 
-def _check_keys(doc: dict, kinds: dict, section: str) -> None:
-    try:
-        check_fields(doc, kinds)
-    except ValueError as exc:
-        raise _ConfigError(f"{section} key {exc}") from exc
-
-
-def _pipeline_config(args) -> tuple[PipelineConfig, dict]:
-    doc = _load_json_config(args.config)
-    doc = _apply_sets(doc, args.set)
-    if args.weights is not None:
-        # passing weights means the network detector, unless the config
-        # said otherwise explicitly
-        doc = {"detector": "network", **doc, "weights_path": args.weights}
-    try:
-        config = PipelineConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad pipeline config: {exc}") from exc
-    return config, asdict(config)
+def _pipeline_settings(args) -> PipelineConfig:
+    # passing weights means the network detector, unless the config said
+    # otherwise explicitly
+    defaults = {"detector": "network"} if args.weights is not None else None
+    return _checked("pipeline", _settings(args, defaults, weights_path=args.weights),
+                    PipelineConfig)
 
 
 def _write_meta(out: Path, command: str, doc: dict) -> None:
@@ -200,23 +190,21 @@ def _write_meta(out: Path, command: str, doc: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
-    doc = _load_json_config(args.config)
-    doc = _apply_sets(doc, args.set)
-    _check_keys(doc, SENSING_FIELDS, "simulate")
+    doc = _checked(
+        "simulate",
+        _settings(args, duration_s=args.duration, sample_rate_hz=args.fs),
+        SENSING_FIELDS,
+    )
     if "motor" not in doc and "motors" not in doc:
-        raise _ConfigError("simulate needs --config with a 'motor' or 'motors' section")
+        raise ValueError("simulate needs --config with a 'motor' or 'motors' section")
     parsed = parse_sensing_config(doc)
     motors = parsed.get("motors") or [parsed["motor"]]
     geometry = parsed.get("geometry") or ArrayGeometry([(0.0, 0.0)])
     noise = parsed.get("noise") or NoiseProfile()
     coil = parsed.get("coil") or CoilParams()
-    duration = float(args.duration if args.duration is not None else doc.get("duration_s", 1.0))
-    fs = float(args.fs if args.fs is not None else doc.get("sample_rate_hz", 8192.0))
-    _check_keys({"duration_s": duration, "sample_rate_hz": fs}, SENSING_FIELDS, "simulate")
-    try:
-        trace = simulate_mixture(motors, geometry, noise, coil, duration, fs, seed)
-    except ValueError as exc:
-        raise _ConfigError(f"bad simulation setup: {exc}") from exc
+    duration = float(doc.get("duration_s", 1.0))
+    fs = float(doc.get("sample_rate_hz", 8192.0))
+    trace = simulate_mixture(motors, geometry, noise, coil, duration, fs, seed)
     out = _out_dir(args)
     volts_per_count = save_trace_wav(trace, out / "trace.wav")
     save_trace_csv(trace, out / "trace.csv")
@@ -237,15 +225,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_DENOISE_FIELDS = {"max_lag_s": real(">= 0")}
-
-
 def _cmd_denoise(args) -> int:
-    doc = _apply_sets({}, args.set)
-    _check_keys(doc, _DENOISE_FIELDS, "denoise")
-    config = PipelineConfig(**doc)
+    config = PipelineConfig(**_checked("denoise", _settings(args), ENHANCE_FIELDS))
     trace = _load_trace(args.trace)
-    reference = _load_reference(args.reference, trace.n_samples)
+    reference = _noise_reference(args, trace)
     enhanced, segment, spectrum = enhanced_spectrum(trace, config, noise_reference=reference)
     out = _out_dir(args)
     save_trace_csv(
@@ -258,7 +241,7 @@ def _cmd_denoise(args) -> int:
         "denoise",
         {
             "trace": str(args.trace),
-            "reference": str(args.reference) if args.reference else None,
+            "background": args.background,
             "max_lag_s": config.max_lag_s,
             "segment_len": segment,
         },
@@ -268,25 +251,26 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    config, config_doc = _pipeline_config(args)
+    config = _pipeline_settings(args)
     trace = _load_trace(args.trace)
-    reference = _load_reference(args.reference, trace.n_samples)
+    reference = _noise_reference(args, trace)
     _, _, dmap = detect_harmonics(trace, config, noise_reference=reference)
     out = _out_dir(args)
     dmap.save_csv(out / "detection.csv")
-    _write_meta(out, "detect", {"trace": str(args.trace), "pipeline": config_doc})
+    _write_meta(out, "detect", {"trace": str(args.trace), "pipeline": asdict(config)})
     print(f"wrote {out / 'detection.csv'} ({int(dmap.binarize().sum())} bins flagged)")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     if args.multi is not None and args.multi < 1:
-        raise _ConfigError("--multi must be >= 1")
-    config, config_doc = _pipeline_config(args)
+        raise ValueError("--multi must be >= 1")
+    config = _pipeline_settings(args)
     trace = _load_trace(args.trace)
-    reference = _load_reference(args.reference, trace.n_samples)
+    reference = _noise_reference(args, trace)
     out = _out_dir(args)
     estimates = estimate_rpm_multi(trace, args.multi or 1, config, noise_reference=reference)
+    config_doc = asdict(config)
     doc = {
         "trace": str(args.trace),
         "pipeline": config_doc,
@@ -303,33 +287,18 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-_TRAINING_FIELDS = {
-    "network": OBJECT,
-    "epochs": integer(">= 0"),
-    "batch_size": integer(">= 1"),
-    "count": integer(">= 1"),
-    "learning_rate": real("> 0"),
-    "dice_eps": real(">= 0"),
-}
-
-
 def _cmd_train(args) -> int:
     seed = _require_seed(args)
-    doc = _load_json_config(args.config)
-    doc = _apply_sets(doc, args.set)
-    _check_keys(doc, _TRAINING_FIELDS, "training")
-    try:
-        net_config = PpspConfig(**{"seed": seed, **doc.get("network", {})})
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad network config: {exc}") from exc
+    doc = _checked("training", _settings(args), TRAINING_FIELDS)
+    net_config = _checked("network", {"seed": seed, **doc.get("network", {})}, PpspConfig)
     if args.samples is not None:
         samples_dir = Path(args.samples)
         if not samples_dir.exists():
-            raise _IoError(f"{samples_dir}: samples directory not found")
+            raise OSError(f"{samples_dir}: samples directory not found")
         try:
             samples = load_training_set(samples_dir)
         except ValueError as exc:
-            raise _IoError(f"{samples_dir}: {exc}") from exc
+            raise OSError(f"{samples_dir}: {exc}") from exc
     else:
         samples = synthesize_training_set(
             doc.get("count", 16), seed, input_bins=net_config.input_bins
@@ -354,14 +323,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    doc = _load_json_config(args.config)
-    doc = _apply_sets(doc, args.set)
-    if args.seed is not None:
-        doc["master_seed"] = int(args.seed)
-    try:
-        scenario = SweepScenario(**doc)
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad scenario: {exc}") from exc
+    doc = _settings(args, master_seed=args.seed)
+    if isinstance(doc.get("pipeline"), dict):
+        doc["pipeline"] = _checked("pipeline", doc["pipeline"], PipelineConfig)
+    scenario = _checked("scenario", doc, SweepScenario)
     out = _out_dir(args)
     result = run_distance_sweep(scenario, out_dir=out)
     _write_meta(out, "bench", {"scenario": asdict(scenario)})
@@ -372,15 +337,8 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_SERMAP_FIELDS = dict.fromkeys(
-    ("sample_rate_hz", "duration_s", "speed_rpm", "effective_speed_cm_s", "step_cm"),
-    real("> 0"),
-)
-
-
 def _cmd_sermap(args) -> int:
-    doc = _apply_sets({}, args.set)
-    _check_keys(doc, _SERMAP_FIELDS, "sermap")
+    doc = _checked("sermap", _settings(args), SERMAP_FIELDS)
     ser_map = run_ser_map(args.delta_t_ms / 1000.0, **doc)
     out = _out_dir(args)
     ser_map.save_csv(out / "sermap.csv")
@@ -404,7 +362,7 @@ _SCENARIO_KEYS_HELP = (
     + "; pipeline.* nests the estimate keys."
 )
 _TRAIN_KEYS_HELP = (
-    "config keys: " + ", ".join(_TRAINING_FIELDS)
+    "config keys: " + ", ".join(TRAINING_FIELDS)
     + "; network.* nests " + ", ".join(_keys(PpspConfig)) + "."
 )
 
@@ -447,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "default 0.01).",
     )
     p.add_argument("--trace", required=True, help="input trace (.csv or .wav)")
-    p.add_argument("--reference", help="noise reference CSV")
+    p.add_argument("--background", help="noise-only capture to denoise against (.csv or .wav)")
     _add_common(p, config=False)
     p.set_defaults(func=_cmd_denoise)
 
@@ -457,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_PIPELINE_KEYS_HELP,
     )
     p.add_argument("--trace", required=True, help="input trace (.csv or .wav)")
-    p.add_argument("--reference", help="noise reference CSV")
+    p.add_argument("--background", help="noise-only capture to denoise against (.csv or .wav)")
     p.add_argument("--weights", help="trained detector weights (.ppsp)")
     _add_common(p)
     p.set_defaults(func=_cmd_detect)
@@ -468,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_PIPELINE_KEYS_HELP,
     )
     p.add_argument("--trace", required=True, help="input trace (.csv or .wav)")
-    p.add_argument("--reference", help="noise reference CSV")
+    p.add_argument("--background", help="noise-only capture to denoise against (.csv or .wav)")
     p.add_argument("--weights", help="trained detector weights (.ppsp)")
     p.add_argument("--multi", type=int, help="estimate this many concurrent motors")
     _add_common(p)
@@ -494,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sermap",
         help="render the two-sensor alignment map",
-        epilog="--set keys: " + ", ".join(_SERMAP_FIELDS) + ".",
+        epilog="--set keys: " + ", ".join(SERMAP_FIELDS) + ".",
     )
     p.add_argument("--delta-t-ms", type=float, required=True,
                    help="compensation delay in milliseconds")
@@ -508,11 +466,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_ConfigError, ValueError) as exc:
-        # the library signals invalid parameter combinations with ValueError
+    except ValueError as exc:
+        # bad settings or arguments, and invalid parameter combinations in the library
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (_IoError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (PipelineError, TrainingDivergedError) as exc:

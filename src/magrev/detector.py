@@ -30,6 +30,7 @@ from .dsp import (
     resample,
     welch_psd,
 )
+from .fields import OBJECT, check_fields, integer, real
 from .ppsp import (
     AdamState,
     PpspConfig,
@@ -46,6 +47,7 @@ from .signals import CoilParams, MotorProfile, NoiseProfile, induce_voltage
 __all__ = [
     "DetectionMap",
     "LabeledTrace",
+    "TRAINING_FIELDS",
     "TrainingSample",
     "augment",
     "augment_sweep",
@@ -322,8 +324,7 @@ def synthesize_training_set(
     ``augment_factors`` additionally emits speed-scaled variants of every
     base trace (out-of-band factors are skipped silently).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_fields({"count": count}, TRAINING_FIELDS)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate_hz))
     coil = CoilParams()
@@ -420,6 +421,17 @@ def load_training_set(directory: str | Path) -> list[TrainingSample]:
 # Training loop
 # ---------------------------------------------------------------------------
 
+# the training settings: train's schedule, the sample count of
+# synthesize_training_set, and network, a JSON object of PpspConfig keys
+TRAINING_FIELDS = {
+    "network": OBJECT,
+    "epochs": integer(">= 0"),
+    "batch_size": integer(">= 1"),
+    "count": integer(">= 1"),
+    "learning_rate": real("> 0"),
+    "dice_eps": real(">= 0"),
+}
+
 
 def train(
     samples: list[TrainingSample],
@@ -439,13 +451,12 @@ def train(
     ``config.seed``; pass ``weights`` to fine-tune an existing model.
     Raises :class:`TrainingDivergedError` when a batch loss stops being
     finite.  ``epochs=0`` returns the initial weights and an empty history.
+    A setting outside its kind in ``TRAINING_FIELDS`` is a ValueError naming it.
     """
+    check_fields(dict(epochs=epochs, batch_size=batch_size, learning_rate=learning_rate,
+                      dice_eps=dice_eps), TRAINING_FIELDS)
     if not samples:
         raise ValueError("need at least one training sample")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     n_bins = samples[0].features.size
     if n_bins != config.input_bins:
         raise ValueError(

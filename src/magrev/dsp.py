@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sensor_io import read_table, write_table
+from .sensor_io import write_table
 from .signals import SensorTrace
 
 SPECTRAL_FLOOR = 1.0
@@ -35,8 +35,6 @@ class NoiseReference:
     """Magnitude spectrum of a background capture, one value per rfft bin."""
 
     magnitudes: np.ndarray
-
-    CSV_HEADER = ("bin_index", "magnitude")
 
     def __post_init__(self):
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
@@ -80,14 +78,6 @@ class NoiseReference:
     def unity(cls, n_samples: int) -> "NoiseReference":
         """A no-op reference for a signal of ``n_samples`` samples."""
         return cls(magnitudes=np.ones(n_samples // 2 + 1))
-
-    def save_csv(self, path: str | Path) -> None:
-        write_table(path, self.CSV_HEADER, enumerate(self.magnitudes))
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "NoiseReference":
-        _, values = read_table(path, cls.CSV_HEADER)
-        return cls(magnitudes=values[:, 1])
 
 
 @dataclass

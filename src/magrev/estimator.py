@@ -46,6 +46,7 @@ from .signals import SensorTrace
 
 __all__ = [
     "CoarseResult",
+    "ENHANCE_FIELDS",
     "FuzzyLikelihood",
     "HarmonicWeights",
     "PipelineConfig",
@@ -106,6 +107,10 @@ _PIPELINE_FIELDS = {
     "m_harmonics": integer(">= 1"),
     "weights_path": STRING,
 }
+
+# the enhancement stage's one setting, the half-window of the coils' lag
+# search; `magrev denoise` takes it alone
+ENHANCE_FIELDS = {"max_lag_s": _PIPELINE_FIELDS["max_lag_s"]}
 
 
 @dataclass
@@ -396,15 +401,16 @@ def enhanced_spectrum(
     fs = trace.sample_rate_hz
     if noise_reference is None:
         noise_reference = NoiseReference.unity(trace.n_samples)
-    max_lag = int(round(config.max_lag_s * fs))
+    # one coil searches no lag; np.rint, unlike round, keeps an infinite lag a float
+    max_lag = float(np.rint(config.max_lag_s * fs)) if trace.n_channels > 1 else 0.0
     if trace.n_channels > 1 and max_lag >= trace.n_samples // 2:
         raise PipelineError(
             "enhance",
-            f"max_lag_s={config.max_lag_s} is {max_lag} samples; the capture has "
-            f"{trace.n_samples}, and aligning coils needs at least {2 * max_lag + 2}",
+            f"max_lag_s={config.max_lag_s} is {max_lag:.15g} samples; the capture has "
+            f"{trace.n_samples}, and aligning coils needs at least {2 * max_lag + 2:.15g}",
         )
     try:
-        enhanced = delay_and_sum(trace, noise_reference, max_lag=max_lag)
+        enhanced = delay_and_sum(trace, noise_reference, max_lag=int(max_lag))
     except ValueError as exc:
         raise PipelineError("enhance", str(exc)) from exc
     try:

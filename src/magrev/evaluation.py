@@ -36,6 +36,7 @@ from .signals import (
 
 __all__ = [
     "BenchResult",
+    "SERMAP_FIELDS",
     "SerMap",
     "SweepScenario",
     "autocorrelation_baseline",
@@ -420,6 +421,13 @@ class SerMap:
         )
 
 
+# the alignment-map settings that run_ser_map checks and `magrev sermap` takes
+SERMAP_FIELDS = dict.fromkeys(
+    ("sample_rate_hz", "duration_s", "speed_rpm", "effective_speed_cm_s", "step_cm"),
+    real("> 0"),
+)
+
+
 def run_ser_map(
     delta_t_s: float,
     *,
@@ -446,6 +454,8 @@ def run_ser_map(
     The default sensor pair sits below the scanned region: when a cell hugs
     one sensor, path loss makes that channel dominate and the ratio drifts
     toward 1 regardless of alignment, smearing the map with false highs.
+    A setting of ``SERMAP_FIELDS`` outside its kind is a ValueError naming it;
+    ``effective_speed_cm_s=None`` calibrates the speed to ``delta_t_s``.
     """
     if len(sensor_positions_cm) != 2:
         raise ValueError("the alignment map uses exactly two sensors")
@@ -453,6 +463,8 @@ def run_ser_map(
         effective_speed_cm_s = calibrated_map_speed(
             delta_t_s=delta_t_s, sensor_positions_cm=sensor_positions_cm
         )
+    check_fields(dict(sample_rate_hz=sample_rate_hz, duration_s=duration_s, speed_rpm=speed_rpm,
+                      effective_speed_cm_s=effective_speed_cm_s, step_cm=step_cm), SERMAP_FIELDS)
     xs = np.arange(x_range_cm[0], x_range_cm[1] + step_cm / 2, step_cm)
     ys = np.arange(y_range_cm[0], y_range_cm[1] + step_cm / 2, step_cm)
     # Slow fundamental with a rich overtone stack: misalignments of a few

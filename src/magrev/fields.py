@@ -91,6 +91,19 @@ def row(names: str, *kinds: tuple) -> tuple:
     ), lambda value: tuple(canonical(item) for (_, _, canonical), item in zip(kinds, value))
 
 
+def check_keys(keys, known) -> None:
+    """Raise ``<key> is unknown (known keys: ...)`` for the first of ``keys`` not in ``known``."""
+    for key in keys:
+        if key not in known:
+            raise ValueError(f"{key} is unknown (known keys: {', '.join(sorted(known))})")
+
+
+def construct(cls, doc: dict):
+    """``cls(**doc)``, a key ``cls`` has no field for refused by :func:`check_keys`."""
+    check_keys(doc, [f.name for f in fields(cls)])
+    return cls(**doc)
+
+
 def check_fields(config, kinds: dict) -> None:
     """Raise ``<key> must be <noun>, got <value>`` (a ValueError) for the
     first entry of ``config``, a dataclass or a dict, that ``kinds`` does not
@@ -101,9 +114,8 @@ def check_fields(config, kinds: dict) -> None:
         entries = [(key, value, False) for key, value in config.items()]
     else:
         entries = [(f.name, getattr(config, f.name), f.default is None) for f in fields(config)]
+    check_keys([key for key, _, _ in entries], kinds)
     for key, value, may_be_none in entries:
-        if key not in kinds:
-            raise ValueError(f"{key} is unknown (known keys: {', '.join(sorted(kinds))})")
         noun, accepts, canonical = kinds[key]
         if value is None and may_be_none:
             continue

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import OBJECT, list_of, real
+from .fields import OBJECT, construct, list_of, real
 from .signals import ArrayGeometry, CoilParams, MotorProfile, NoiseProfile, SensorTrace
 
 PCM_FULL_SCALE = 32767
@@ -271,9 +271,9 @@ def parse_sensing_config(data: dict, source: str = "<config>") -> dict:
             continue
         try:
             if key == "motors":
-                out[key] = [MotorProfile(**m) for m in data[key]]
+                out[key] = [construct(MotorProfile, m) for m in data[key]]
             else:
-                out[key] = _SECTIONS[key](**data[key])
+                out[key] = construct(_SECTIONS[key], data[key])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{source}: bad '{key}' section: {exc}") from exc
     return out

@@ -1,12 +1,15 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from magrev.cli import main
 from magrev.detector import DetectionMap, TrainingSample, build_label_mask, save_training_set
+from magrev.dsp import NoiseReference
+from magrev.estimator import PipelineConfig, estimate_rpm_multi
 from magrev.ppsp import PpspWeights
-from magrev.sensor_io import load_trace_csv, save_trace_csv
+from magrev.sensor_io import load_trace_csv, load_trace_wav, save_trace_csv
 from magrev.signals import SensorTrace
 
 
@@ -257,13 +260,80 @@ class TestEstimate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["pipeline"]["detector"] == "network"
 
-    def test_unknown_pipeline_key_is_config_error(self, tmp_path, sensing_config):
+    @pytest.mark.parametrize(
+        "command, entry, section",
+        [
+            ("estimate", "bogus_knob=1", "pipeline"),
+            ("estimate", "foo=1", "pipeline"),
+            ("detect", "foo=1", "pipeline"),
+            ("bench", "foo=1", "scenario"),
+            ("bench", "pipeline.foo=1", "pipeline"),
+            ("train", "network.foo=1", "network"),
+        ],
+    )
+    def test_unknown_key_is_named_with_its_section_before_any_output(
+        self, tmp_path, sensing_config, capsys, command, entry, section
+    ):
         sim = simulate(tmp_path, sensing_config)
+        capsys.readouterr()
+        key = entry.rpartition(".")[2].partition("=")[0]
+        out = tmp_path / "x"
+        extra = {"estimate": ["--trace", str(sim / "trace.wav")],
+                 "detect": ["--trace", str(sim / "trace.wav")]}.get(command, ["--seed", "5"])
+        code = main([command, *extra, "--out", str(out), "--set", entry])
+        assert code == 2
+        assert f"{section} key {key} is unknown (known keys: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_background_gives_the_estimates_of_its_noise_reference(
+        self, tmp_path, sensing_config
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        background = simulate(
+            tmp_path, sensing_config, "background",
+            ("--seed", "8", "--set", "motor.harmonics=[[1,0.0,0.0]]"),
+        )
+        out = tmp_path / "est"
         code = main([
-            "estimate", "--trace", str(sim / "trace.csv"),
-            "--out", str(tmp_path / "x"), "--set", "bogus_knob=1",
+            "estimate", "--trace", str(sim / "trace.wav"),
+            "--background", str(background / "trace.wav"), "--out", str(out),
+        ])
+        assert code == 0
+        noise = load_trace_wav(background / "trace.wav")
+        want = estimate_rpm_multi(
+            load_trace_wav(sim / "trace.wav"), 1, PipelineConfig(),
+            noise_reference=NoiseReference.from_signal(noise.channels[0]),
+        )
+        doc = json.loads((out / "estimate.json").read_text())
+        assert doc["estimates"] == json.loads(json.dumps([asdict(e) for e in want]))
+
+    def test_background_of_another_shape_is_config_error_naming_both(
+        self, tmp_path, sensing_config, capsys
+    ):
+        sim = simulate(tmp_path, sensing_config)
+        longer = simulate(tmp_path, sensing_config, "longer", ("--duration", "2"))
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main([
+            "estimate", "--trace", str(sim / "trace.wav"),
+            "--background", str(longer / "trace.wav"), "--out", str(out),
         ])
         assert code == 2
+        err = capsys.readouterr().err
+        assert str(sim / "trace.wav") in err and str(longer / "trace.wav") in err
+        assert not out.exists()
+
+    def test_unreadable_background_is_io_error_naming_it(self, tmp_path, sensing_config, capsys):
+        sim = simulate(tmp_path, sensing_config)
+        background = tmp_path / "noise.csv"
+        background.write_text("not a trace\n")
+        capsys.readouterr()
+        code = main([
+            "estimate", "--trace", str(sim / "trace.wav"),
+            "--background", str(background), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        assert str(background) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry, field",
@@ -297,17 +367,6 @@ class TestEstimate:
             assert code == 0
             metas.append((out / "meta.json").read_bytes())
         assert metas[0] == metas[1]
-
-    def test_short_reference_row_is_io_error(self, tmp_path, sensing_config, capsys):
-        sim = simulate(tmp_path, sensing_config)
-        reference = tmp_path / "ref.csv"
-        reference.write_text("bin_index,magnitude\n0\n1,2.0\n")
-        code = main([
-            "estimate", "--trace", str(sim / "trace.csv"),
-            "--reference", str(reference), "--out", str(tmp_path / "x"),
-        ])
-        assert code == 3
-        assert f"{reference}, line 2" in capsys.readouterr().err
 
     def test_missing_trace_is_io_error(self, tmp_path):
         code = main([

@@ -381,3 +381,15 @@ class TestTrain:
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError):
             train([], TINY_NET, epochs=1)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"learning_rate": float("nan")}, {"learning_rate": -1.0}, {"learning_rate": 0},
+         {"batch_size": True}, {"epochs": 2.5}, {"epochs": -1}, {"dice_eps": float("inf")}],
+        ids=repr,
+    )
+    def test_a_setting_outside_its_kind_is_refused_by_name(self, setting):
+        samples = synthetic_32bin_samples(2, seed=0)
+        key = next(iter(setting))
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            train(samples, TINY_NET, **{"epochs": 1, **setting})

@@ -215,13 +215,6 @@ class TestNoiseReference:
         ref = NoiseReference.from_signal(x)
         np.testing.assert_allclose(ref.magnitudes, np.abs(np.fft.rfft(x)))
 
-    def test_csv_roundtrip(self, tmp_path):
-        ref = NoiseReference(magnitudes=np.array([0.0, 1.5, 2.25, 0.125]))
-        path = tmp_path / "ref.csv"
-        ref.save_csv(path)
-        back = NoiseReference.load_csv(path)
-        np.testing.assert_array_equal(back.magnitudes, ref.magnitudes)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseReference(magnitudes=np.array([1.0, -1.0]))

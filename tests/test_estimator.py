@@ -355,19 +355,29 @@ class TestEnhancedSpectrum:
 
 
     @pytest.mark.parametrize(
-        "n_samples, fs, message",
+        "n_samples, fs, max_lag_s, message",
         [
-            (2, 8192.0, "max_lag_s=0.01 is 82 samples; the capture has 2, "),
-            (16, 8192.0, "max_lag_s=0.01 is 82 samples; the capture has 16, "),
-            (8192, 1e6, "max_lag_s=0.01 is 10000 samples; the capture has 8192, "),
+            (2, 8192.0, 0.01, "max_lag_s=0.01 is 82 samples; the capture has 2, "),
+            (16, 8192.0, 0.01, "max_lag_s=0.01 is 82 samples; the capture has 16, "),
+            (8192, 1e6, 0.01, "max_lag_s=0.01 is 10000 samples; the capture has 8192, "),
+            # the lag in samples overflows a float
+            (8192, 8192.0, 1e306, "max_lag_s=1e+306 is inf samples; the capture has 8192, "),
         ],
     )
-    def test_a_capture_too_short_for_the_lag_names_both(self, n_samples, fs, message):
+    def test_a_capture_too_short_for_the_lag_names_both(self, n_samples, fs, max_lag_s, message):
         rng = np.random.default_rng(n_samples)
         trace = SensorTrace(channels=rng.normal(size=(4, n_samples)), sample_rate_hz=fs)
         with pytest.raises(PipelineError, match="^" + re.escape("[enhance] " + message)) as err:
-            estimate_rpm(trace)
+            estimate_rpm(trace, PipelineConfig(max_lag_s=max_lag_s))
         assert err.value.stage == "enhance"
+
+    @pytest.mark.parametrize("max_lag_s", [0.0, 1.0, 1e306])
+    def test_one_coil_reads_the_same_whatever_the_lag(self, max_lag_s):
+        # a single coil has nothing to align, so no lag is searched
+        four = four_sensor_trace(3000.0, seed=1)
+        trace = SensorTrace(channels=four.channels[:1], sample_rate_hz=four.sample_rate_hz)
+        assert estimate_rpm(trace, PipelineConfig(max_lag_s=max_lag_s)) == estimate_rpm(trace)
+
 
 class TestEstimateRpmMulti:
     def test_separates_two_motors(self):

@@ -362,6 +362,17 @@ class TestRunSerMap:
         # the calibrated cell is on this grid and aligns almost perfectly
         assert m.values[list(m.y_cm).index(11.0), list(m.x_cm).index(-4.0)] > 0.99
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"step_cm": 0.0}, {"step_cm": -1.0}, {"duration_s": float("nan")},
+         {"effective_speed_cm_s": 0.0}, {"speed_rpm": True}],
+        ids=repr,
+    )
+    def test_a_setting_outside_its_kind_is_refused_by_name(self, setting):
+        key = next(iter(setting))
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            run_ser_map(0.004, **setting)
+
     def test_misaligned_delay_scores_lower(self):
         speed = calibrated_map_speed()
         cell = dict(

@@ -11,7 +11,6 @@ from magrev.detector import (
     load_training_set,
     save_training_set,
 )
-from magrev.dsp import NoiseReference
 from magrev.fields import POWER_OF_TWO, check_fields, integer, list_of, real, row
 from magrev.sensor_io import (
     PCM_FULL_SCALE,
@@ -164,7 +163,6 @@ def _arrays(obj):
         return [a for sample in obj for a in _arrays(sample)]
     names = {
         SensorTrace: ("channels",),
-        NoiseReference: ("magnitudes",),
         DetectionMap: ("probabilities", "bin_frequencies"),
         TrainingSample: ("features", "mask", "bin_frequencies"),
     }[type(obj)]
@@ -174,12 +172,6 @@ def _arrays(obj):
 # (make, save, load, file written) for every table format with a reader
 TABLE_FORMATS = {
     "trace": (small_trace, save_trace_csv, load_trace_csv, None),
-    "noise_reference": (
-        lambda: NoiseReference(magnitudes=np.random.default_rng(1).uniform(size=9)),
-        NoiseReference.save_csv,
-        NoiseReference.load_csv,
-        None,
-    ),
     "detection_map": (
         lambda: DetectionMap(
             probabilities=np.random.default_rng(2).uniform(size=7),
