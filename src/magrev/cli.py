@@ -47,7 +47,7 @@ from .estimator import (
     enhanced_spectrum,
     estimate_rpm_multi,
 )
-from .evaluation import SERMAP_FIELDS, SweepScenario, run_distance_sweep, run_ser_map
+from .evaluation import SERMAP_FIELDS, SweepScenario, map_speed, run_distance_sweep, run_ser_map
 from .fields import check_fields, construct
 from .ppsp import PpspConfig, TrainingDivergedError
 from .sensor_io import (
@@ -339,6 +339,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sermap(args) -> int:
     doc = _checked("sermap", _settings(args), SERMAP_FIELDS)
+    try:
+        map_speed(args.delta_t_ms / 1000.0, doc.get("effective_speed_cm_s"))
+    except ValueError as exc:
+        raise ValueError(f"sermap key delta_t_ms {exc}, got {args.delta_t_ms!r}") from None
     ser_map = run_ser_map(args.delta_t_ms / 1000.0, **doc)
     out = _out_dir(args)
     ser_map.save_csv(out / "sermap.csv")

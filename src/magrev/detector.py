@@ -484,6 +484,7 @@ def train(
                 raise TrainingDivergedError(epoch, loss)
             update_running_stats(weights, batch_stats)
             adam.step(weights.params, grads, lr=learning_rate)
+            del grads  # freed before the next step's forward pass, not after it
             total += loss * batch.size
         history.append(total / n)
     return weights, history

@@ -41,6 +41,7 @@ __all__ = [
     "SweepScenario",
     "autocorrelation_baseline",
     "calibrated_map_speed",
+    "map_speed",
     "peak_detection_baseline",
     "run_distance_sweep",
     "run_ser_map",
@@ -421,6 +422,32 @@ class SerMap:
         )
 
 
+def map_speed(
+    delta_t_s: float,
+    effective_speed_cm_s: float | None = None,
+    sensor_positions_cm: tuple[tuple[float, float], ...] = ((-8.0, -8.0), (8.0, -8.0)),
+) -> float:
+    """The alignment map's effective speed for a ``delta_t_s`` compensation:
+    ``effective_speed_cm_s``, or when it is None the speed calibrated to the
+    delay.  The delay must be finite, and nonzero with a calibrated speed
+    > 0 when it calibrates.  A delay that is not is a ValueError saying what
+    it must be, without its name or value, so that each caller names the
+    delay in its own unit."""
+    _, finite, _ = real()
+    if not finite(delta_t_s):
+        raise ValueError("must be a finite real number")
+    if effective_speed_cm_s is not None:
+        return effective_speed_cm_s
+    if delta_t_s == 0.0:
+        raise ValueError("must be nonzero to calibrate effective_speed_cm_s")
+    speed = calibrated_map_speed(delta_t_s=delta_t_s, sensor_positions_cm=sensor_positions_cm)
+    if not speed > 0.0:
+        raise ValueError(
+            f"must calibrate effective_speed_cm_s > 0 (it calibrates {speed:.6g} cm/s)"
+        )
+    return speed
+
+
 # the alignment-map settings that run_ser_map checks and `magrev sermap` takes
 SERMAP_FIELDS = dict.fromkeys(
     ("sample_rate_hz", "duration_s", "speed_rpm", "effective_speed_cm_s", "step_cm"),
@@ -455,14 +482,15 @@ def run_ser_map(
     one sensor, path loss makes that channel dominate and the ratio drifts
     toward 1 regardless of alignment, smearing the map with false highs.
     A setting of ``SERMAP_FIELDS`` outside its kind is a ValueError naming it;
-    ``effective_speed_cm_s=None`` calibrates the speed to ``delta_t_s``.
+    ``effective_speed_cm_s=None`` calibrates the speed to ``delta_t_s``, and
+    a delay that :func:`map_speed` refuses is a ValueError naming ``delta_t_s``.
     """
     if len(sensor_positions_cm) != 2:
         raise ValueError("the alignment map uses exactly two sensors")
-    if effective_speed_cm_s is None:
-        effective_speed_cm_s = calibrated_map_speed(
-            delta_t_s=delta_t_s, sensor_positions_cm=sensor_positions_cm
-        )
+    try:
+        effective_speed_cm_s = map_speed(delta_t_s, effective_speed_cm_s, sensor_positions_cm)
+    except ValueError as exc:
+        raise ValueError(f"delta_t_s {exc}, got {delta_t_s!r}") from None
     check_fields(dict(sample_rate_hz=sample_rate_hz, duration_s=duration_s, speed_rpm=speed_rpm,
                       effective_speed_cm_s=effective_speed_cm_s, step_cm=step_cm), SERMAP_FIELDS)
     xs = np.arange(x_range_cm[0], x_range_cm[1] + step_cm / 2, step_cm)

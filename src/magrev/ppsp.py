@@ -13,11 +13,15 @@ analytic gradient of the forward pass, which the test suite verifies against
 central finite differences layer by layer and end to end through the dice
 loss.  No autograd framework is involved.
 
-Every convolution is one matrix product: the weights, reshaped to
-(C_out, C_in*K), times the im2col columns of the zero-padded input, a
-(C_in*K, B*L) copy of its sliding windows with the batch side by side.  Its
-backward pass is two more over the same columns: the weight gradient, and
-the column gradient that col2im sums back onto the input.
+Every convolution is one matrix product per tap: tap j's (C_out, C_in)
+weights times the zero-padded input shifted by j - (K-1)/2, summed in place
+into the output one batch item at a time, so no temporary outgrows one
+item.  A one-channel input is the one exception: its K shifted slices are
+the K rows of a single product, as small as the input times K.  The
+backward pass works per tap too: tap j's weight gradient is dy times the
+shifted input, transposed and summed over the batch, and the input
+gradient is the same convolution of dy with the flipped, transposed kernel.
+It pops each saved map once it has used it, so memory falls as it goes.
 
 Every encoder level runs as one folded convolution.  A level's branch
 convolutions and its width-1 projection have no nonlinearity between them,
@@ -115,46 +119,69 @@ _PPSP_FIELDS = {
 # ---------------------------------------------------------------------------
 
 
-def _columns(x: np.ndarray, k: int) -> np.ndarray:
-    """im2col for a same-padded width-``k`` convolution: (B, C, L) becomes
-    (C*k, B*L), row ``c*k + j`` holding channel ``c`` shifted by
-    ``j - (k-1)/2`` with zeros past either end, the batch items side by side."""
-    b, c, length = x.shape
+def _taps(w: np.ndarray) -> np.ndarray:
+    """A (C_out, C_in, K) kernel as K contiguous (C_out, C_in) matrices."""
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
+
+
+def _padded_items(x: np.ndarray, pad: int):
+    """Each batch item of x (B, C, L) with ``pad`` zeros at either end, in
+    one reused (C, L + 2*pad) buffer."""
+    length = x.shape[2]
+    padded = np.zeros((x.shape[1], length + 2 * pad))
+    for item in x:
+        padded[:, pad : pad + length] = item
+        yield padded
+
+
+def _convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Same-padded convolution of x (B, C_in, L) with taps (K, C_out, C_in),
+    one matrix product per tap over a shifted slice of the zero-padded input:
+    out[b] = sum_j taps[j] @ x[b] shifted by j - (K-1)/2.  Each item's sum
+    is accumulated in place, so no temporary outgrows one item's output.  A
+    one-channel input is the exception: its K shifted slices are the rows of
+    one (C_out, K) @ (K, L) product, because NumPy's product over an inner
+    dimension of 1 is several times slower than one over K rows."""
+    k, c_out, c_in = taps.shape
+    batch, _, length = x.shape
     pad = (k - 1) // 2
-    xp = np.zeros((b, c, length + 2 * pad), dtype=x.dtype)  # np.pad costs more per call
-    xp[:, :, pad : pad + length] = x
-    windows = sliding_window_view(xp, k, axis=2)  # (B, C, L, K)
-    return windows.transpose(1, 3, 0, 2).reshape(c * k, b * length)
+    if c_in == 1:
+        padded = np.zeros((batch, length + 2 * pad))
+        padded[:, pad : pad + length] = x[:, 0]
+        return np.matmul(taps[:, :, 0].T, sliding_window_view(padded, length, axis=1))
+    out = np.empty((batch, c_out, length))
+    product = np.empty((c_out, length))
+    for out_item, item in zip(out, _padded_items(x, pad)):
+        np.matmul(taps[0], item[:, :length], out=out_item)
+        for j in range(1, k):
+            out_item += np.matmul(taps[j], item[:, j : j + length], out=product)
+    return out
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded 1-D convolution as one matrix product over the whole
-    batch.  x: (B, C_in, L), w: (C_out, C_in, K).  The result is a
-    (B, C_out, L) view of a channel-major array, the (C_out, B*L) layout
-    in which conv1d_backward reads output gradients without copying."""
-    batch, _, length = x.shape
-    out = w.reshape(w.shape[0], -1) @ _columns(x, w.shape[2]) + b[:, None]
-    return out.reshape(-1, batch, length).transpose(1, 0, 2)
+    """Same-padded 1-D convolution, one matrix product per tap over shifted
+    slices of the input.  x: (B, C_in, L), w: (C_out, C_in, K); returns
+    (B, C_out, L)."""
+    out = _convolve(x, _taps(w))
+    out += b[:, None]
+    return out
 
 
 def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of conv1d_forward as two matrix products over the same
-    im2col columns.  With dy laid out as (C_out, B*L): dw = dy @ columns.T,
-    and the column gradient w.T @ dy, whose K row blocks are summed back
-    onto the shifted positions of the padded input (col2im).  Returns
-    (dx, dw, db); dx is a (B, C_in, L) view of a channel-major array."""
-    batch, c_in, length = x.shape
-    c_out, _, k = w.shape
-    dy2 = dy.transpose(1, 0, 2).reshape(c_out, batch * length)
-    dw = (dy2 @ _columns(x, k).T).reshape(w.shape)
-    db = dy2.sum(axis=1)
-    dcols = (w.reshape(c_out, -1).T @ dy2).reshape(c_in, k, batch, length)
-    pad = (k - 1) // 2
-    dxp = np.zeros((c_in, batch, length + 2 * pad))
-    for j in range(k):
-        dxp[:, :, j : j + length] += dcols[:, j]
-    dx = dxp[:, :, pad : pad + length]
-    return dx.transpose(1, 0, 2), dw, db
+    """Gradients of conv1d_forward, one matrix product per tap and no copy
+    of the input beyond one padded item: dw[:, :, j] sums dy[b] @ x[b].T
+    over the batch, x shifted by the tap's offset, and dx is the same
+    convolution of dy with the flipped, transposed kernel.  Returns
+    (dx, dw, db)."""
+    k = w.shape[2]
+    length = x.shape[2]
+    dw = np.zeros_like(w)
+    product = np.empty(w.shape[:2])
+    for dy_item, item in zip(dy, _padded_items(x, (k - 1) // 2)):
+        for j in range(k):
+            dw[:, :, j] += np.matmul(dy_item, item[:, j : j + length].T, out=product)
+    dx = _convolve(dy, _taps(w[:, :, ::-1].transpose(1, 0, 2)))
+    return dx, dw, dy.sum(axis=(0, 2))
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -241,8 +268,24 @@ def resize_forward(x: np.ndarray, l_out: int) -> np.ndarray:
 
 
 def resize_backward(dy: np.ndarray, l_in: int) -> np.ndarray:
+    """Gradient of resize_forward: each output's gradient, times its two
+    weights, summed onto its two inputs, every w0 term before every w1 term,
+    each in output order."""
     b, c, l_out = dy.shape
     i0, i1, w0, w1 = _resize_table(l_in, l_out)
+    if l_out == 2 * l_in and l_in >= 2:
+        # the decoder's x2 upsampling, by slices: output 2m+1 reads (m, m+1)
+        # and output 2m+2 reads (m, m+1); output 0 reads (0, 1) and the last
+        # (l_in-1, l_in-1), each with no weight on its second input
+        dx = np.zeros((b, c, l_in))
+        dx[..., 0] += dy[..., 0] * w0[0]
+        dx += dy[..., 1::2] * w0[1::2]
+        dx[..., :-1] += dy[..., 2::2] * w0[2::2]
+        dx[..., 1] += dy[..., 0] * w1[0]
+        dx[..., 1:] += dy[..., 1:-1:2] * w1[1:-1:2]
+        dx[..., 1:] += dy[..., 2::2] * w1[2::2]
+        dx[..., -1] += dy[..., -1] * w1[-1]
+        return dx
     dyf = dy.reshape(b * c, l_out)
     rows = np.arange(b * c)[:, None] * l_in
     # one scatter-add, every w0 term before every w1 term: the same per-bin
@@ -578,7 +621,6 @@ def _forward(
         z = conv1d_forward(cat, p[f"dec{level}.conv.weight"], p[f"dec{level}.conv.bias"])
         save(f"dec{level}.z", z)
         cur = relu_forward(z)
-    save("pyr.in", cur)
     feats = [cur]
     for m in cfg.pyramid_pool_kernels:
         pooled = avgpool_forward(cur, m)
@@ -610,18 +652,20 @@ def _forward(
 
 
 def _backward(dprobs: np.ndarray, saves: dict, weights: PpspWeights) -> dict[str, np.ndarray]:
-    """Exact gradients of every parameter; assumes a train-mode forward."""
+    """Exact gradients of every parameter; assumes a train-mode forward.
+    Pops each saved map from ``saves`` once it has used it, so that the
+    maps of the layers already done are freed as the pass goes."""
     cfg = weights.config
     p = weights.params
     widths = cfg.multiscale_kernel_widths
     f = cfg.filters_per_conv
     grads: dict[str, np.ndarray] = {}
 
-    g = sigmoid_backward(dprobs, saves["head.probs"])
-    g, dgamma, dbeta = batchnorm_backward(g, saves["head.bn_cache"])
+    g = sigmoid_backward(dprobs, saves.pop("head.probs"))
+    g, dgamma, dbeta = batchnorm_backward(g, saves.pop("head.bn_cache"))
     grads["head.bn.gamma"] = dgamma
     grads["head.bn.beta"] = dbeta
-    g, dw, db = conv1d_backward(g, saves["head.cat"], p["head.conv.weight"])
+    g, dw, db = conv1d_backward(g, saves.pop("head.cat"), p["head.conv.weight"])
     grads["head.conv.weight"] = dw
     grads["head.conv.bias"] = db
 
@@ -629,36 +673,39 @@ def _backward(dprobs: np.ndarray, saves: dict, weights: PpspWeights) -> dict[str
     offset = f
     for m in cfg.pyramid_pool_kernels:
         r = cfg.reduced_filters
-        g_feat = g[:, offset : offset + r]
+        g_proj = resize_backward(g[:, offset : offset + r], m)
         offset += r
-        g_proj = resize_backward(g_feat, m)
         g_pooled, dw, db = conv1d_backward(
-            g_proj, saves[f"pyr{m}.pooled"], p[f"pyr{m}.conv.weight"]
+            g_proj, saves.pop(f"pyr{m}.pooled"), p[f"pyr{m}.conv.weight"]
         )
         grads[f"pyr{m}.conv.weight"] = dw
         grads[f"pyr{m}.conv.bias"] = db
-        d_pyr_in += avgpool_backward(g_pooled, saves["pyr.in"].shape[2])
+        d_pyr_in += avgpool_backward(g_pooled, cfg.input_bins)
+    del g
 
     d_skip: dict[int, np.ndarray] = {}
     cur_grad = d_pyr_in
     for level in range(cfg.encoder_levels):
-        g_z = relu_backward(cur_grad, saves[f"dec{level}.z"])
+        g_z = relu_backward(cur_grad, saves.pop(f"dec{level}.z"))
         g_cat, dw, db = conv1d_backward(
-            g_z, saves[f"dec{level}.cat"], p[f"dec{level}.conv.weight"]
+            g_z, saves.pop(f"dec{level}.cat"), p[f"dec{level}.conv.weight"]
         )
         grads[f"dec{level}.conv.weight"] = dw
         grads[f"dec{level}.conv.bias"] = db
-        d_skip[level] = g_cat[:, f:]
-        cur_grad = resize_backward(g_cat[:, :f], saves[f"dec{level}.inlen"])
+        # a copy, so that the full (B, 2f, L) gradient is freed below
+        d_skip[level] = g_cat[:, f:].copy()
+        cur_grad = resize_backward(g_cat[:, :f], saves.pop(f"dec{level}.inlen"))
+        del g_z, g_cat
 
     for level in reversed(range(cfg.encoder_levels)):
         g_skip = maxpool_backward(
-            cur_grad, saves[f"enc{level}.poolidx"], cfg.pool_kernel
+            cur_grad, saves.pop(f"enc{level}.poolidx"), cfg.pool_kernel
         )
-        g_skip = g_skip + d_skip[level]
-        g_proj = relu_backward(g_skip, saves[f"enc{level}.proj"])
+        g_skip += d_skip.pop(level)
+        g_proj = relu_backward(g_skip, saves.pop(f"enc{level}.proj"))
+        del g_skip
         cur_grad, dw, db = conv1d_backward(
-            g_proj, saves[f"enc{level}.in"], saves[f"enc{level}.fold"][0]
+            g_proj, saves.pop(f"enc{level}.in"), saves.pop(f"enc{level}.fold")[0]
         )
         grads.update(_fold_level_backward(p, level, widths, dw, db))
     return grads

@@ -699,6 +699,25 @@ class TestSermap:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "delay, reason",
+        [("nan", "must be a finite real number"),
+         ("0", "must be nonzero to calibrate"),
+         ("-4", "must calibrate effective_speed_cm_s > 0")],
+    )
+    def test_bad_delay_is_config_error_naming_it(self, tmp_path, capsys, delay, reason):
+        out = tmp_path / "x"
+        code = main([
+            "sermap", "--delta-t-ms", delay, "--out", str(out),
+            "--set", "step_cm=4", "--set", "duration_s=0.1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sermap key delta_t_ms {reason}" in err
+        assert f"got {float(delay)!r}" in err
+        assert not out.exists()
+
+
 class TestBench:
     def test_tiny_benchmark_is_deterministic(self, tmp_path):
         cfg = tmp_path / "scenario.json"

@@ -17,6 +17,7 @@ from magrev.evaluation import (
     calibrated_map_speed,
     peak_detection_baseline,
     run_distance_sweep,
+    map_speed,
     run_ser_map,
 )
 
@@ -372,6 +373,23 @@ class TestRunSerMap:
         key = next(iter(setting))
         with pytest.raises(ValueError, match=f"^{key} must be "):
             run_ser_map(0.004, **setting)
+
+    @pytest.mark.parametrize(
+        "delta_t_s, reason",
+        [(float("nan"), "must be a finite real number"),
+         (0.0, "must be nonzero to calibrate"),
+         (-0.004, "must calibrate effective_speed_cm_s > 0")],
+        ids=repr,
+    )
+    def test_a_delay_it_cannot_use_is_refused_by_name(self, delta_t_s, reason):
+        with pytest.raises(ValueError, match=f"^delta_t_s {reason}.*, got {delta_t_s!r}$"):
+            run_ser_map(delta_t_s, step_cm=4.0, duration_s=0.1)
+
+    def test_a_given_speed_takes_any_finite_delay(self):
+        speed = calibrated_map_speed()
+        assert map_speed(0.0, speed) == map_speed(-0.004, speed) == speed
+        with pytest.raises(ValueError, match="^must be a finite real number$"):
+            map_speed(float("inf"), speed)
 
     def test_misaligned_delay_scores_lower(self):
         speed = calibrated_map_speed()

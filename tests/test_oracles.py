@@ -647,7 +647,11 @@ class TestClearingAgainstLoop:
 
 class TestResizeBackwardAgainstAddAt:
     @pytest.mark.parametrize(
-        "shape, l_in", [((8, 64, 1024), 512), ((3, 5, 7), 3), ((2, 4, 32), 1), ((1, 1, 2), 2)]
+        "shape, l_in",
+        [
+            ((8, 64, 1024), 512), ((3, 5, 7), 3), ((2, 4, 32), 1), ((1, 1, 2), 2),
+            ((3, 5, 8), 4), ((2, 4, 4), 2),
+        ],
     )
     def test_bit_equal(self, shape, l_in):
         dy = np.random.default_rng(sum(shape) + l_in).normal(size=shape)
@@ -659,7 +663,12 @@ class TestResizeBackwardAgainstAddAt:
 class TestPpspForwardAgainstUnfoldedEinsum:
     def test_conv_matches_einsum(self):
         rng = np.random.default_rng(5)
-        for batch, c_in, c_out, k, length in [(1, 1, 64, 15, 1024), (3, 128, 64, 3, 64), (2, 5, 3, 1, 9)]:
+        # the last two: inputs shorter than the kernel, with one and with
+        # several channels
+        for batch, c_in, c_out, k, length in [
+            (1, 1, 64, 15, 1024), (3, 128, 64, 3, 64), (2, 5, 3, 1, 9),
+            (2, 1, 3, 7, 2), (2, 3, 4, 15, 4),
+        ]:
             x = rng.normal(size=(batch, c_in, length))
             w = rng.normal(size=(c_out, c_in, k))
             b = rng.normal(size=c_out)
@@ -691,9 +700,11 @@ class TestPpspForwardAgainstUnfoldedEinsum:
 class TestPpspTrainingAgainstUnfoldedEinsum:
     def test_conv_backward_matches_einsum(self):
         rng = np.random.default_rng(6)
-        # k = 1, C_out = 1, B > 1, and the widest branch on a long input
+        # k = 1, C_out = 1, B > 1, the widest branch on a long input, and a
+        # kernel wider than the input
         for batch, c_in, c_out, k, length in [
             (2, 5, 3, 1, 9), (3, 7, 1, 3, 16), (4, 8, 6, 7, 32), (1, 1, 64, 15, 1024),
+            (2, 3, 4, 15, 4),
         ]:
             x = rng.normal(size=(batch, c_in, length))
             w = rng.normal(size=(c_out, c_in, k))

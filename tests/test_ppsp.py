@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zipfile
 from dataclasses import asdict
 
@@ -565,6 +566,34 @@ class TestFullGradient:
             np.testing.assert_array_equal(w1.params[key], w2.params[key])
         for key in w1.bn_state:
             np.testing.assert_array_equal(w1.bn_state[key], w2.bn_state[key])
+
+
+def traced_peak(fn, *args):
+    """Peak of the memory that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_full_size_training_step_at_batch_8(self):
+        rng = np.random.default_rng(3)
+        weights = init_weights(PpspConfig())
+        spectra = rng.uniform(size=(8, 1024))
+        masks = (rng.uniform(size=(8, 1024)) > 0.9).astype(np.float64)
+        assert traced_peak(loss_and_grads, spectra, masks, weights) <= 90 * 2**20
+
+    def test_head_convolution_backward(self):
+        # one output channel: the input gradient is the only array as large
+        # as the input
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(8, 112, 1024))
+        w = rng.normal(size=(1, 112, 3))
+        dy = rng.normal(size=(8, 1, 1024))
+        assert traced_peak(conv1d_backward, dy, x, w) <= 1.5 * x.nbytes
 
 
 class TestOptimizerAndStats:
